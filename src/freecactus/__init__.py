@@ -5,7 +5,8 @@ expressions in free random variables, entirely in rational arithmetic.
 The combinatorial side (non-crossing partitions, Kreweras complements,
 block multigraphs and their oriented outercycles) lives in
 ``partitions`` and ``cactus``; the summation formulas and their
-brute-force oracle in ``cumulants``; truncated power series and the
+brute-force oracle in ``cumulants``; the polynomial-time interval DP that
+the command line uses by default in ``dp``; truncated power series and the
 generating-function identities in ``series``.  ``freecactus.cli`` wires
 it all into a command line tool.
 """
@@ -43,6 +44,7 @@ from freecactus.cumulants import (
     quadratic_form_cumulant,
     semicircular_anticommutator,
 )
+from freecactus.dp import DEFAULT_DP_CAP, dp_cumulants
 from freecactus.errors import CumulantOrderError, ResourceCapError
 from freecactus.series import (
     DEFAULT_SERIES_ORDER,

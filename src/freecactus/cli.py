@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands cover the counting tables, explicit enumerations, cumulant
-computations with selectable routes, the series identities, and
+computations with selectable routes (the interval DP by default, the
+paper's partition and graph formulas on request), the series identities, and
 self-contained verification suites.  Output defaults to JSON (one
 document per result record); rationals are always rendered as "p/q"
 strings so nothing is ever rounded.  Exit codes: 0 success, 1 a
@@ -35,6 +36,7 @@ from freecactus.cumulants import (
     random_explicit_spec,
     semicircular_anticommutator,
 )
+from freecactus.dp import ANTICOMMUTATOR_WEIGHTS, PRODUCT_WEIGHTS, dp_cumulants
 from freecactus.errors import ResourceCapError
 from freecactus.partitions import (
     Partition,
@@ -228,80 +230,75 @@ def cmd_enumerate(args) -> int:
 # --------------------------------------------------------------- cumulants
 
 
-def _route_records(args, orders, compute_partition, compute_graph) -> tuple[list[dict], bool]:
-    records = []
-    all_match = True
-    for n in orders:
-        if args.route == "both":
-            left = compute_partition(n)
-            right = compute_graph(n)
-            match = left == right
-            all_match = all_match and match
+# Routes each cumulant target accepts.  dp is the default everywhere; the
+# paper's partition and graph routes stay for reproduction, and "both"
+# compares those two.
+ROUTES = {
+    "anticommutator": ("dp", "partition", "graph", "both"),
+    "quadratic": ("dp", "partition", "graph", "both"),
+    "product": ("dp", "partition"),
+    "semicircular-anticom": ("dp", "graph"),
+}
+
+
+def _cumulant_problem(args):
+    """The target as dp inputs (specs, weight rows) plus its paper routes,
+    each a function of the order."""
+    if args.target == "quadratic":
+        specs = tuple(parse_spec(text) for text in args.specs)
+        with open(args.weights, "r", encoding="utf-8") as handle:
+            weights = WeightMatrix.from_json_obj(json.load(handle))
+        paper = {
+            "partition": lambda n: quadratic_form_cumulant(
+                specs, weights, n, route="partition", cap=args.cap
+            ),
+            "graph": lambda n: quadratic_form_cumulant(
+                specs, weights, n, route="graph", cap=args.cap
+            ),
+        }
+        return specs, weights.entries, paper
+    a = parse_spec(args.a)
+    if args.target == "semicircular-anticom":
+        paper = {"graph": lambda n: semicircular_anticommutator(a, n, cap=args.cap)}
+        return (a, CumulantSpec.semicircular()), ANTICOMMUTATOR_WEIGHTS, paper
+    b = parse_spec(args.b)
+    if args.target == "product":
+        paper = {"partition": lambda n: product_cumulant(a, b, n, cap=args.cap)}
+        return (a, b), PRODUCT_WEIGHTS, paper
+    paper = {
+        "partition": lambda n: anticommutator_cumulant(a, b, n, cap=args.cap),
+        "graph": lambda n: anticommutator_cumulant_graphwise(a, b, n, cap=args.cap),
+    }
+    return (a, b), ANTICOMMUTATOR_WEIGHTS, paper
+
+
+def cmd_cumulants(args) -> int:
+    orders = parse_range(args.n)
+    specs, weights, paper = _cumulant_problem(args)
+    if args.route == "both":
+        records = []
+        for n in orders:
+            left, right = paper["partition"](n), paper["graph"](n)
             records.append(
                 {
                     "n": n,
                     "partition": format_rational(left),
                     "graph": format_rational(right),
-                    "match": match,
+                    "match": left == right,
                 }
             )
-        else:
-            value = (
-                compute_graph(n) if args.route == "graph" else compute_partition(n)
-            )
-            records.append({"n": n, "kappa": format_rational(value)})
-    return records, all_match
-
-
-def cmd_cumulants(args) -> int:
-    orders = parse_range(args.n)
-    if args.target == "anticommutator":
-        a, b = parse_spec(args.a), parse_spec(args.b)
-        records, ok = _route_records(
-            args,
-            orders,
-            lambda n: anticommutator_cumulant(a, b, n, cap=args.cap),
-            lambda n: anticommutator_cumulant_graphwise(a, b, n, cap=args.cap),
-        )
         _emit_records(records, args.format)
-        return 0 if ok else 1
-    if args.target == "product":
-        a, b = parse_spec(args.a), parse_spec(args.b)
-        records = [
-            {"n": n, "kappa": format_rational(product_cumulant(a, b, n, cap=args.cap))}
-            for n in orders
-        ]
-        _emit_records(records, args.format)
-        return 0
-    if args.target == "semicircular-anticom":
-        a = parse_spec(args.a)
-        records = [
-            {
-                "n": n,
-                "kappa": format_rational(
-                    semicircular_anticommutator(a, n, cap=args.cap)
-                ),
-            }
-            for n in orders
-        ]
-        _emit_records(records, args.format)
-        return 0
-    # quadratic
-    specs = tuple(parse_spec(text) for text in args.specs)
-    with open(args.weights, "r", encoding="utf-8") as handle:
-        weights = WeightMatrix.from_json_obj(json.load(handle))
-    records, ok = _route_records(
-        args,
-        orders,
-        lambda n: quadratic_form_cumulant(
-            specs, weights, n, route="partition", cap=args.cap
-        ),
-        lambda n: quadratic_form_cumulant(
-            specs, weights, n, route="graph", cap=args.cap
-        ),
+        return 0 if all(r["match"] for r in records) else 1
+    if args.route == "dp":
+        kappas = dp_cumulants(specs, weights, orders[-1], cap=args.cap)
+        values = [kappas[n - 1] for n in orders]
+    else:
+        values = [paper[args.route](n) for n in orders]
+    _emit_records(
+        [{"n": n, "kappa": format_rational(v)} for n, v in zip(orders, values)],
+        args.format,
     )
-    _emit_records(records, args.format)
-    return 0 if ok else 1
+    return 0
 
 
 # ------------------------------------------------------------------ series
@@ -439,11 +436,14 @@ def _suite_formulas(seed, cap, oracle_cap):
             a = random_explicit_spec(rng, 4)
             b = random_explicit_spec(rng, 4)
             from_oracle = oracle_anticommutator_cumulants(a, b, 3, cap=oracle_cap)
+            from_dp = dp_cumulants((a, b), ANTICOMMUTATOR_WEIGHTS, 3, cap=cap)
             for n in (1, 2, 3):
                 direct = anticommutator_cumulant(a, b, n, cap=cap)
                 graph = anticommutator_cumulant_graphwise(a, b, n, cap=cap)
-                assert direct == graph == from_oracle[n - 1], (a.name, b.name, n)
-        return "5 random pairs, n <= 3, three routes"
+                assert (
+                    from_dp[n - 1] == direct == graph == from_oracle[n - 1]
+                ), (a.name, b.name, n)
+        return "5 random pairs, n <= 3, dp, partition, graph and oracle"
 
     def quadratic_routes_agree():
         for k in (2, 3):
@@ -458,13 +458,14 @@ def _suite_formulas(seed, cap, oracle_cap):
             from_oracle = oracle_quadratic_cumulants(
                 specs, weights, 3, cap=oracle_cap
             )
+            from_dp = dp_cumulants(specs, weights.entries, 3, cap=cap)
             for n in (1, 2, 3):
                 p = quadratic_form_cumulant(
                     specs, weights, n, route="partition", cap=cap
                 )
                 g = quadratic_form_cumulant(specs, weights, n, route="graph", cap=cap)
-                assert p == g == from_oracle[n - 1], (k, n)
-        return "k = 2 and 3, n <= 3, both routes and oracle"
+                assert from_dp[n - 1] == p == g == from_oracle[n - 1], (k, n)
+        return "k = 2 and 3, n <= 3, dp, both paper routes and oracle"
 
     def special_cases():
         values = []
@@ -587,7 +588,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=_positive_int,
         default=None,
-        help="enumeration ground-set cap override",
+        help=(
+            "ground-set cap override: enumerations default to 16, "
+            "the dp route to 60"
+        ),
     )
     common.add_argument(
         "--oracle-cap",
@@ -646,9 +650,10 @@ def build_parser() -> argparse.ArgumentParser:
     cum.add_argument("--n", required=True, help="order or inclusive range a..b")
     cum.add_argument(
         "--route",
-        choices=("partition", "graph", "both"),
-        default="partition",
-        help="summation route where two exist",
+        choices=("dp", "partition", "graph", "both"),
+        default="dp",
+        help="summation route, default dp; by target: "
+        + "; ".join(f"{t}: {', '.join(r)}" for t, r in ROUTES.items()),
     )
     cum.set_defaults(func=cmd_cumulants)
 
@@ -700,8 +705,11 @@ def _validate(parser, args) -> None:
             parser.error("cumulants semicircular-anticom requires --a")
         if args.target == "quadratic" and not (args.specs and args.weights):
             parser.error("cumulants quadratic requires --specs and --weights")
-        if args.target in ("product", "semicircular-anticom") and args.route != "partition":
-            parser.error(f"cumulants {args.target} has a single route")
+        if args.route not in ROUTES[args.target]:
+            parser.error(
+                f"cumulants {args.target} takes --route "
+                + ", ".join(ROUTES[args.target])
+            )
 
 
 def main(argv=None) -> int:

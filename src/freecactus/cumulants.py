@@ -261,14 +261,15 @@ def cumulants_from_moments(moments: Sequence) -> list[Fraction]:
     moments m_1..m_N.  Exact, and mutually inverse with
     ``moments_from_cumulants``."""
     ms = [Fraction(1)] + [Fraction(m) for m in moments]
+    order = len(ms) - 1
+    powers = [[Fraction(1)]]  # powers[k]: M(z)^k truncated at the order
+    for _ in range(1, order):
+        powers.append(_mul_trunc(powers[-1], ms, order))
     kappas: list[Fraction] = []
-    for n in range(1, len(ms)):
-        power = [Fraction(1)]
+    for n in range(1, order + 1):
         lower = Fraction(0)
         for k in range(1, n):
-            power = _mul_trunc(power, ms, n)
-            if n - k < len(power):
-                lower += kappas[k - 1] * power[n - k]
+            lower += kappas[k - 1] * powers[k][n - k]
         kappas.append(ms[n] - lower)
     return kappas
 

@@ -400,12 +400,15 @@ def minverse_closed_form(order: int = DEFAULT_SERIES_ORDER) -> TruncatedSeries:
     rational series; the denominator is a unit with constant term 16."""
     if order < 1:
         raise ValueError("closed form needs order at least 1")
-    radicand = TruncatedSeries.from_coefficients([4, 20, 9], order)
+    # The fixed polynomials have degree up to 3; build them at least that
+    # far and cut back, so orders 1 and 2 work too.
+    full = max(order, 3)
+    radicand = TruncatedSeries.from_coefficients([4, 20, 9], full)
     numerator = 3 * radicand.sqrt() - TruncatedSeries.from_coefficients(
-        [6, 7], order
+        [6, 7], full
     )
-    denominator = TruncatedSeries.from_coefficients([16, 32, 20, 4], order)
-    return numerator / denominator
+    denominator = TruncatedSeries.from_coefficients([16, 32, 20, 4], full)
+    return (numerator / denominator).truncate(order)
 
 
 class RMSeries(NamedTuple):

@@ -259,22 +259,6 @@ def test_cumulants_table_alignment(capsys):
     code, out, _err = run_cli(
         capsys,
         "cumulants",
-        "anticommutator",
-        "--a",
-        "poisson:1",
-        "--b",
-        "poisson:1",
-        "--n",
-        "9..10",
-        "--route",
-        "graph",
-        "--cap",
-        "20",
-        "--format",
-        "table",
-    ) if False else run_cli(
-        capsys,
-        "cumulants",
         "product",
         "--a",
         "poisson:1",
@@ -291,6 +275,67 @@ def test_cumulants_table_alignment(capsys):
     assert lines[-1].endswith("14")
     widths = {len(line) for line in lines[1:]}
     assert len(widths) == 1  # right-aligned numeric columns share a width
+
+
+@pytest.mark.parametrize(
+    "target, paper_route, specs, orders",
+    [
+        ("anticommutator", "partition", ("--a", "cumulants:[2/3,-5/2,1,3]", "--b", "poisson:3/2"), "1..5"),
+        ("anticommutator", "partition", ("--a", "cumulants:[-1/2,3,0,2/3]", "--b", "semicircular"), "1..5"),
+        ("product", "partition", ("--a", "cumulants:[1/3,-2,5/2]", "--b", "poisson:2"), "1..6"),
+        ("semicircular-anticom", "graph", ("--a", "cumulants:[1,-1/2,2,3/2]"), "1..8"),
+    ],
+)
+def test_default_dp_route_is_byte_identical_to_the_paper_route(
+    capsys, target, paper_route, specs, orders
+):
+    code, default, _err = run_cli(capsys, "cumulants", target, *specs, "--n", orders)
+    assert code == 0
+    code, paper, _err = run_cli(
+        capsys, "cumulants", target, *specs, "--n", orders, "--route", paper_route
+    )
+    assert code == 0
+    assert default == paper
+
+
+def test_default_route_reaches_past_the_enumeration_cap(capsys):
+    code, out, _err = run_cli(
+        capsys,
+        "cumulants",
+        "anticommutator",
+        "--a",
+        "poisson:1",
+        "--b",
+        "poisson:1",
+        "--n",
+        "9..10",
+        "--format",
+        "table",
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == [" 9   4650382", "10  34125130"]
+
+
+def test_dp_cap_exits_three(capsys):
+    pair = ("cumulants", "anticommutator", "--a", "poisson:1", "--b", "poisson:1")
+    code, _out, err = run_cli(capsys, *pair, "--n", "31")
+    assert code == 3
+    assert "cap" in err
+    code, _out, err = run_cli(capsys, *pair, "--cap", "4", "--n", "3")
+    assert code == 3
+    assert "cap 4" in err
+
+
+def test_routes_a_target_does_not_take_exit_two(capsys):
+    for target, specs, route in (
+        ("product", ("--a", "poisson:1", "--b", "poisson:1"), "graph"),
+        ("semicircular-anticom", ("--a", "poisson:1"), "partition"),
+        ("semicircular-anticom", ("--a", "poisson:1"), "both"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["cumulants", target, *specs, "--n", "2", "--route", route])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 # ------------------------------------------------------------------ series
@@ -315,6 +360,13 @@ def test_series_minverse(capsys):
     code, out, _err = run_cli(capsys, "series", "minverse", "--order", "3")
     assert code == 0
     assert json.loads(out) == ["0", "1/2", "-7/4", "19/4"]
+
+
+def test_series_minverse_low_orders(capsys):
+    for order, want in (("1", ["0", "1/2"]), ("2", ["0", "1/2", "-7/4"])):
+        code, out, _err = run_cli(capsys, "series", "minverse", "--order", order)
+        assert code == 0
+        assert json.loads(out) == want
 
 
 def test_series_cauchy(capsys):

@@ -1,0 +1,129 @@
+"""Tests for the interval-DP engine.
+
+Every value is compared exactly with an independent route: the paper's
+partition and cactus-class formulas, the Kreweras product formula, the
+word-expansion oracle, Narayana polynomials and the counting recursion
+for the free Poisson(1) pair."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from freecactus import (
+    CumulantSpec,
+    ResourceCapError,
+    WeightMatrix,
+    anticommutator_cumulant,
+    anticommutator_cumulant_graphwise,
+    free_poisson_pair_cumulants,
+    oracle_quadratic_cumulants,
+    product_cumulant,
+    quadratic_form_cumulant,
+    semicircular_anticommutator,
+)
+from freecactus.cumulants import random_explicit_spec
+from freecactus.dp import (
+    ANTICOMMUTATOR_WEIGHTS,
+    DEFAULT_DP_CAP,
+    PRODUCT_WEIGHTS,
+    dp_cumulants,
+)
+
+SEED = 1729
+
+
+def anticom_pairs():
+    rng = random.Random(SEED)
+    explicit = [(random_explicit_spec(rng, 5), random_explicit_spec(rng, 5)) for _ in range(2)]
+    partner = random_explicit_spec(rng, 5)
+    return explicit + [
+        (partner, CumulantSpec.free_poisson(Fraction(3, 2))),
+        (partner, CumulantSpec.semicircular()),
+    ]
+
+
+@pytest.mark.parametrize("a, b", anticom_pairs())
+def test_anticommutator_matches_both_paper_routes(a, b):
+    got = dp_cumulants((a, b), ANTICOMMUTATOR_WEIGHTS, 5)
+    assert got == [anticommutator_cumulant(a, b, n) for n in range(1, 6)]
+    assert got == [anticommutator_cumulant_graphwise(a, b, n) for n in range(1, 6)]
+
+
+def test_product_matches_kreweras_formula():
+    rng = random.Random(SEED)
+    a, b = random_explicit_spec(rng, 8), random_explicit_spec(rng, 8)
+    assert dp_cumulants((a, b), PRODUCT_WEIGHTS, 8) == [
+        product_cumulant(a, b, n) for n in range(1, 9)
+    ]
+
+
+def test_product_of_free_poissons_is_narayana():
+    rate_a, rate_b = Fraction(2, 3), Fraction(5, 2)
+    got = dp_cumulants(
+        (CumulantSpec.free_poisson(rate_a), CumulantSpec.free_poisson(rate_b)),
+        PRODUCT_WEIGHTS,
+        12,
+    )
+    want = [
+        sum(
+            Fraction(math.comb(n, k) * math.comb(n, k - 1), n)
+            * rate_a**k
+            * rate_b ** (n + 1 - k)
+            for k in range(1, n + 1)
+        )
+        for n in range(1, 13)
+    ]
+    assert got == want
+
+
+def test_semicircular_anticommutator_matches_cactus_classes():
+    a = random_explicit_spec(random.Random(SEED), 10)
+    got = dp_cumulants((a, CumulantSpec.semicircular()), ANTICOMMUTATOR_WEIGHTS, 10)
+    assert got == [semicircular_anticommutator(a, m) for m in range(1, 11)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("with_zeros", [False, True])
+def test_quadratic_matches_oracle_and_graph_route(k, with_zeros):
+    rng = random.Random(SEED + k)
+    specs = tuple(random_explicit_spec(rng, 8) for _ in range(k))
+    rows = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            if not (with_zeros and (i + j) % 2 == 0):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(1, 3), rng.choice((1, 2)))
+    weights = WeightMatrix(tuple(tuple(r) for r in rows))
+    got = dp_cumulants(specs, weights.entries, 4)
+    assert got == oracle_quadratic_cumulants(specs, weights, 4)
+    assert got == [
+        quadratic_form_cumulant(specs, weights, n, route="graph") for n in range(1, 5)
+    ]
+
+
+def test_free_poisson_pair_matches_counting_recursion():
+    one = CumulantSpec.free_poisson(1)
+    assert dp_cumulants((one, one), ANTICOMMUTATOR_WEIGHTS, 15) == free_poisson_pair_cumulants(15)
+
+
+def test_asymmetric_weights_are_accepted_by_dp_only():
+    with pytest.raises(ValueError, match="not symmetric"):
+        WeightMatrix(PRODUCT_WEIGHTS)
+    one = CumulantSpec.free_poisson(1)
+    # kappa_n(ab) for free Poisson(1) variables: the Catalan numbers.
+    assert dp_cumulants((one, one), PRODUCT_WEIGHTS, 4) == [1, 2, 5, 14]
+
+
+def test_order_beyond_the_cap_is_refused():
+    one = CumulantSpec.free_poisson(1)
+    with pytest.raises(ResourceCapError, match=f"cap {DEFAULT_DP_CAP}"):
+        dp_cumulants((one, one), ANTICOMMUTATOR_WEIGHTS, DEFAULT_DP_CAP // 2 + 1)
+    with pytest.raises(ResourceCapError, match="cap 4"):
+        dp_cumulants((one, one), ANTICOMMUTATOR_WEIGHTS, 3, cap=4)
+
+
+def test_spec_count_must_match_the_weights():
+    one = CumulantSpec.free_poisson(1)
+    with pytest.raises(ValueError, match="3 specs"):
+        dp_cumulants((one, one, one), ANTICOMMUTATOR_WEIGHTS, 2)

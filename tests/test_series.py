@@ -336,6 +336,12 @@ def test_minverse_closed_form_leading_coefficients():
         minverse_closed_form(0)
 
 
+def test_minverse_closed_form_low_orders_truncate_order_nine():
+    leading = minverse_closed_form(9).to_json_obj()
+    assert minverse_closed_form(1).to_json_obj() == ["0", "1/2"] == leading[:2]
+    assert minverse_closed_form(2).to_json_obj() == ["0", "1/2", "-7/4"] == leading[:3]
+
+
 def test_minverse_equals_triangular_inverse_to_order_nine():
     """The closed form and the coefficient-extraction inverse of the
     truncated moment series must agree exactly; this is the inversion
