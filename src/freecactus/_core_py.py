@@ -1,14 +1,10 @@
-"""Pure-Python kernel for the enumeration hot paths.
+"""Enumeration hot paths on plain tuples and ints.
 
-``freecactus._kernel`` picks either this module or the compiled twin
-``freecactus._core`` at import time.  Both expose the same four functions
-with identical outputs, including the exact iteration order of
-``iter_nc_blocks``; the test suite asserts parity between them.  If you
-change an algorithm here, change it in ``_core.pyx`` as well.
-
-Everything below speaks plain tuples and ints.  Wrapping into Partition
-objects, rational arithmetic and so on happens in the calling layers, so
-the compiled twin never needs to know about them.
+These four functions are the innermost loops of the package: streaming
+NC(m), counting it independently, the pruned level scan of the
+odd-separating family, and the colored-word profile counts the oracle
+sums over.  Wrapping into Partition objects, rational arithmetic and so on
+happens in the calling layers.
 """
 
 from __future__ import annotations
@@ -34,8 +30,8 @@ def iter_nc_blocks(m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
         {1}{2}{3}, {1}{2 3}, {1 2}{3}, {1 2 3}, {1 3}{2}
 
-    and the order is deterministic, documented, and frozen: tests and the
-    compiled kernel both depend on it.
+    and the order is deterministic, documented, and frozen: the CLI
+    ``enumerate`` output and the tests depend on it.
     """
     if m < 0:
         raise ValueError("ground set size must be non-negative")

@@ -17,14 +17,9 @@ signature enumerates oriented cacti without a separate graph generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from freecactus.errors import ResourceCapError
-from freecactus.partitions import (
-    DEFAULT_ENUMERATION_CAP,
-    Partition,
-    enumerate_nc,
-)
+from freecactus.partitions import Partition, enumerate_nc
 
 Signature = tuple[tuple[int, int], ...]
 
@@ -61,8 +56,7 @@ class OrientedCactus:
     flexible ones twice.  ``f_c`` counts the flexible edges, leaving out
     the first edge of the walk when that edge is flexible.  ``bipartition``
     is present iff the graph is bipartite; its first part contains vertex
-    0, the start of the walk.  ``coloring`` is only populated by callers
-    that evaluate weighted sums over colored cacti.
+    0, the start of the walk.
     """
 
     signature: Signature
@@ -71,7 +65,6 @@ class OrientedCactus:
     first_edge_rigid: bool
     bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None
     degrees: tuple[int, ...]
-    coloring: tuple[int, ...] | None = None
 
     @property
     def edge_count(self) -> int:
@@ -368,15 +361,11 @@ def enumerate_oriented_cacti(
     Returns signature -> (representative, members); the representative is
     the cactus of the first member encountered.  Every class has exactly
     2^f_C members, which the tests assert.  ``bipartite_only`` keeps the
-    classes carrying a bipartition.
+    classes carrying a bipartition.  The NC(2n) stream enforces the
+    enumeration cap before any work.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if 2 * n > cap:
-        raise ResourceCapError(
-            f"enumerating cacti with {n} edges needs NC({2 * n}), beyond the cap {cap}"
-        )
     classes: dict[Signature, tuple[OrientedCactus, list[Partition]]] = {}
     for p in enumerate_nc(2 * n, cap=cap):
         if not is_connected(build_graph(p)):

@@ -12,7 +12,6 @@ cap refused the request."""
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import re
@@ -39,7 +38,6 @@ from freecactus.cumulants import (
 from freecactus.dp import ANTICOMMUTATOR_WEIGHTS, PRODUCT_WEIGHTS, dp_cumulants
 from freecactus.errors import ResourceCapError
 from freecactus.partitions import (
-    Partition,
     catalan,
     classify,
     enumerate_nc,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from freecactus import _kernel
+from freecactus import _core_py
 from freecactus.cactus import (
     bipartition,
     build_graph,
@@ -44,6 +44,9 @@ from freecactus.partitions import (
 
 DEFAULT_ANTICOM_ORACLE_CAP = 5
 DEFAULT_QUADRATIC_ORACLE_CAP = 4
+
+# The weights of ab + ba as a quadratic form in (a, b).
+ANTICOMMUTATOR_WEIGHTS = ((0, 1), (1, 0))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -216,62 +219,57 @@ def kappa_pi(p: Partition, word: Sequence[int], specs: Sequence[CumulantSpec]) -
 # ------------------------------------------------ moment-cumulant conversion
 
 
-def _mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (min(len(a) + len(b) - 1, order + 1))
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
+def _moment_cumulant_walk(known: Sequence, from_moments: bool) -> list[Fraction]:
+    """Walk m_n = kappa_n + sum over k < n of kappa_k [z^(n-k)] M(z)^k for
+    n = 1..N, with M the moment series including m_0 = 1, and return the
+    side that was not given.
 
-
-def _moments_from_kappas(kappas: list[Fraction]) -> list[Fraction]:
-    n_max = len(kappas)
-    moments = [Fraction(1)]  # order 0
-    for n in range(1, n_max + 1):
-        power = [Fraction(1)]
-        total = Fraction(0)
-        for k in range(1, n + 1):
-            power = _mul_trunc(power, moments, n)
-            if n - k < len(power):
-                total += kappas[k - 1] * power[n - k]
-        moments.append(total)
-    return moments[1:]
+    ``powers[k][j]`` holds [z^j] M(z)^k.  Order n adds the antidiagonal
+    k + j = n for 1 < k < n, which needs only moments below n, so one pass
+    solves for m_n or kappa_n; the work is O(N^3).  ``powers[1]`` is the
+    moment list itself.
+    """
+    moments = [Fraction(1)]
+    kappas: list[Fraction] = []
+    powers = [None, moments]
+    for n, value in enumerate(known, start=1):
+        lower = Fraction(0)
+        for k in range(1, n):
+            j = n - k
+            if k > 1:
+                prev = powers[k - 1]
+                powers[k].append(sum(prev[i] * moments[j - i] for i in range(j + 1)))
+            lower += kappas[k - 1] * powers[k][j]
+        value = Fraction(value)
+        if from_moments:
+            moments.append(value)
+            kappas.append(value - lower)
+        else:
+            kappas.append(value)
+            moments.append(value + lower)
+        if n > 1:
+            powers.append([Fraction(1)])
+    return kappas if from_moments else moments[1:]
 
 
 def moments_from_cumulants(spec: CumulantSpec, n_max: int) -> list[Fraction]:
-    """Moments m_1..m_{n_max} of a distribution given by its cumulants.
+    """Moments m_1..m_{n_max} of a distribution given by its cumulants,
+    through M(z) = 1 + sum over k of kappa_k z^k M(z)^k.
 
-    Uses the triangular recursion m_n = sum over k of kappa_k times the
-    coefficient of z^{n-k} in M(z)^k, with M the moment series including
-    m_0 = 1.  This equals the sum over non-crossing partitions of block
-    cumulant products; the tests check that equality against a literal
+    This equals the sum over non-crossing partitions of block cumulant
+    products; the tests check that equality against a literal
     enumeration.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    return _moments_from_kappas([spec.kappa(n) for n in range(1, n_max + 1)])
+    return _moment_cumulant_walk([spec.kappa(n) for n in range(1, n_max + 1)], False)
 
 
 def cumulants_from_moments(moments: Sequence) -> list[Fraction]:
     """Invert the moment recursion: cumulants kappa_1..kappa_N from
     moments m_1..m_N.  Exact, and mutually inverse with
     ``moments_from_cumulants``."""
-    ms = [Fraction(1)] + [Fraction(m) for m in moments]
-    order = len(ms) - 1
-    powers = [[Fraction(1)]]  # powers[k]: M(z)^k truncated at the order
-    for _ in range(1, order):
-        powers.append(_mul_trunc(powers[-1], ms, order))
-    kappas: list[Fraction] = []
-    for n in range(1, order + 1):
-        lower = Fraction(0)
-        for k in range(1, n):
-            lower += kappas[k - 1] * powers[k][n - k]
-        kappas.append(ms[n] - lower)
-    return kappas
+    return _moment_cumulant_walk(moments, True)
 
 
 # --------------------------------------------------------- closed formulas
@@ -297,6 +295,22 @@ def product_cumulant(
     return total
 
 
+def _two_sided(
+    a: CumulantSpec, b: CumulantSpec, sizes_a: Sequence[int], sizes_b: Sequence[int]
+) -> Fraction:
+    """The cumulants of a on one side of a bipartition times those of b on
+    the other, plus the same with a and b exchanged."""
+    direct = Fraction(1)
+    swapped = Fraction(1)
+    for s in sizes_a:
+        direct *= a.kappa(s)
+        swapped *= b.kappa(s)
+    for s in sizes_b:
+        direct *= b.kappa(s)
+        swapped *= a.kappa(s)
+    return direct + swapped
+
+
 def anticommutator_cumulant(
     a: CumulantSpec, b: CumulantSpec, n: int, cap: int | None = None
 ) -> Fraction:
@@ -313,17 +327,12 @@ def anticommutator_cumulant(
         pi = kreweras(sigma)
         parts = bipartition(build_graph(pi))
         assert parts is not None, "complement of an odd-separating partition"
-        sizes_a = [len(pi.blocks[v]) for v in parts[0]]
-        sizes_b = [len(pi.blocks[v]) for v in parts[1]]
-        direct = Fraction(1)
-        swapped = Fraction(1)
-        for s in sizes_a:
-            direct *= a.kappa(s)
-            swapped *= b.kappa(s)
-        for s in sizes_b:
-            direct *= b.kappa(s)
-            swapped *= a.kappa(s)
-        total += direct + swapped
+        total += _two_sided(
+            a,
+            b,
+            [len(pi.blocks[v]) for v in parts[0]],
+            [len(pi.blocks[v]) for v in parts[1]],
+        )
     return total
 
 
@@ -337,15 +346,12 @@ def anticommutator_cumulant_graphwise(
     classes = enumerate_oriented_cacti(n, bipartite_only=True, cap=cap)
     for rep, _members in classes.values():
         side_a, side_b = rep.bipartition
-        direct = Fraction(1)
-        swapped = Fraction(1)
-        for v in side_a:
-            direct *= a.kappa(rep.degrees[v])
-            swapped *= b.kappa(rep.degrees[v])
-        for v in side_b:
-            direct *= b.kappa(rep.degrees[v])
-            swapped *= a.kappa(rep.degrees[v])
-        total += 2**rep.f_c * (direct + swapped)
+        total += 2**rep.f_c * _two_sided(
+            a,
+            b,
+            [rep.degrees[v] for v in side_a],
+            [rep.degrees[v] for v in side_b],
+        )
     return total
 
 
@@ -489,7 +495,7 @@ def free_poisson_anticommutator_polynomial(n: int, cap: int | None = None) -> li
 
 @lru_cache(maxsize=4096)
 def _profiles(colors: tuple[int, ...]):
-    return _kernel.word_profile_counts(len(colors), colors)
+    return _core_py.word_profile_counts(len(colors), colors)
 
 
 def _word_moment(colors: tuple[int, ...], specs: Sequence[CumulantSpec]) -> Fraction:
@@ -510,29 +516,13 @@ def _word_moment(colors: tuple[int, ...], specs: Sequence[CumulantSpec]) -> Frac
 def oracle_anticommutator_moments(
     a: CumulantSpec, b: CumulantSpec, n_max: int, cap: int | None = None
 ) -> list[Fraction]:
-    """Moments of ab + ba to order n_max, from first principles only.
-
-    The j-th power expands into 2^j words, each factor contributing ab or
-    ba; every word moment is a sum over non-crossing partitions refining
-    the word's color kernel.  Nothing here knows about the closed
-    formulas."""
+    """Moments of ab + ba to order n_max, from first principles only: the
+    quadratic-form oracle with the weights of ab + ba, under its own cap.
+    Nothing there knows about the closed formulas."""
     cap = DEFAULT_ANTICOM_ORACLE_CAP if cap is None else cap
-    if n_max > cap:
-        raise ResourceCapError(
-            f"anticommutator oracle asked for order {n_max}, beyond its cap {cap}"
-        )
-    specs = (a, b)
-    out = []
-    for j in range(1, n_max + 1):
-        total = Fraction(0)
-        for bits in itertools.product((0, 1), repeat=j):
-            colors = []
-            for bit in bits:
-                colors.append(bit)
-                colors.append(1 - bit)
-            total += _word_moment(tuple(colors), specs)
-        out.append(total)
-    return out
+    return oracle_quadratic_moments(
+        (a, b), WeightMatrix(ANTICOMMUTATOR_WEIGHTS), n_max, cap=cap
+    )
 
 
 def oracle_anticommutator_cumulants(
@@ -548,29 +538,33 @@ def oracle_quadratic_moments(
     cap: int | None = None,
 ) -> list[Fraction]:
     """Moments of the quadratic form to order n_max, by brute expansion
-    into k^(2j) colored words weighted by their edge factors."""
+    into the colored words of length 2j, each weighted by the product of
+    its pair weights; the j-th power is a sum over j letter pairs, so only
+    pairs of nonzero weight are ever expanded."""
     cap = DEFAULT_QUADRATIC_ORACLE_CAP if cap is None else cap
     if n_max > cap:
         raise ResourceCapError(
-            f"quadratic oracle asked for order {n_max}, beyond its cap {cap}"
+            f"word-expansion oracle asked for order {n_max}, beyond its cap {cap}"
         )
     if len(specs) != weights.k:
         raise ValueError(
             f"got {len(specs)} specs for a {weights.k}x{weights.k} weight matrix"
         )
+    pairs = [
+        ((c, d), w)
+        for c, row in enumerate(weights.entries)
+        for d, w in enumerate(row)
+        if w
+    ]
     out = []
     for j in range(1, n_max + 1):
         total = Fraction(0)
-        for word in itertools.product(range(weights.k), repeat=2 * j):
+        for chosen in itertools.product(pairs, repeat=j):
+            word = ()
             weight = Fraction(1)
-            for t in range(j):
-                w = weights.entries[word[2 * t]][word[2 * t + 1]]
-                if w == 0:
-                    weight = Fraction(0)
-                    break
+            for pair, w in chosen:
+                word += pair
                 weight *= w
-            if weight == 0:
-                continue
             total += weight * _word_moment(word, specs)
         out.append(total)
     return out

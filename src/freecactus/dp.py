@@ -34,7 +34,8 @@ cache outliving the call.
 
 ab + ba, as + sa (specs a, semicircular), ab and every quadratic form
 differ only in the weight matrix, which need not be symmetric:
-``ANTICOMMUTATOR_WEIGHTS`` and ``PRODUCT_WEIGHTS`` below.
+``ANTICOMMUTATOR_WEIGHTS`` (shared with the oracle in ``cumulants``) and
+``PRODUCT_WEIGHTS`` below.
 """
 
 from __future__ import annotations
@@ -42,12 +43,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from freecactus.cumulants import CumulantSpec, cumulants_from_moments
+from freecactus.cumulants import (
+    ANTICOMMUTATOR_WEIGHTS,
+    CumulantSpec,
+    cumulants_from_moments,
+)
 from freecactus.errors import ResourceCapError
 
 DEFAULT_DP_CAP = 60
 
-ANTICOMMUTATOR_WEIGHTS = ((0, 1), (1, 0))
 PRODUCT_WEIGHTS = ((0, 1), (0, 0))
 
 

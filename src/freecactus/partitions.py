@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from freecactus import _kernel
+from freecactus import _core_py
 from freecactus.errors import ResourceCapError
 
 DEFAULT_ENUMERATION_CAP = 16
@@ -240,7 +240,7 @@ def enumerate_nc(m: int, cap: int | None = None) -> Iterator[Partition]:
         )
 
     def stream():
-        for blocks in _kernel.iter_nc_blocks(m):
+        for blocks in _core_py.iter_nc_blocks(m):
             yield Partition._unchecked(blocks, m)
 
     return stream()
@@ -492,7 +492,7 @@ def level_counts(m: int, cap: int | None = None) -> list[int]:
         raise ResourceCapError(
             f"level counts for m={m} exceed the enumeration cap {cap}"
         )
-    return _kernel.y_level_histogram(m)
+    return _core_py.y_level_histogram(m)
 
 
 def q_count(p: Partition, cap: int | None = None) -> int:

@@ -467,25 +467,11 @@ def cauchy_polynomial_residual(
         raise ValueError(
             f"need {n_moments} moments, got {len(values)}"
         )
-    values = values[:n_moments]
     top = n_moments + 5
-    g = [Fraction(0)] * (top + 1)
-    g[1] = Fraction(1)
-    for j, m in enumerate(values, start=2):
-        g[j] = m
-
-    def convolve(u, v):
-        out = [Fraction(0)] * (top + 1)
-        for i, x in enumerate(u):
-            if x == 0:
-                continue
-            for j in range(top + 1 - i):
-                out[i + j] += x * v[j]
-        return out
-
+    g = TruncatedSeries.from_coefficients([0, 1] + values[:n_moments], top)
     powers = {1: g}
     for j in range(2, 7):
-        powers[j] = convolve(powers[j - 1], g)
+        powers[j] = powers[j - 1] * g
 
     terms = (
         (2, 4, 6),

@@ -28,7 +28,7 @@ from freecactus import (
     x_membership,
     y_membership,
 )
-from freecactus import _kernel
+from freecactus import _core_py
 
 # Frozen golden tables: total size of the odd-separating family by ground
 # set size, and its histogram by number of even-only blocks.
@@ -129,13 +129,13 @@ def test_enumeration_order_m3_is_frozen():
 @pytest.mark.parametrize("m", range(1, 8))
 def test_enumeration_matches_bruteforce(m):
     got = [p.blocks for p in enumerate_nc(m)]
-    assert len(got) == len(set(got)) == catalan(m) == _kernel.count_nc(m)
+    assert len(got) == len(set(got)) == catalan(m) == _core_py.count_nc(m)
     assert set(got) == set(bruteforce.noncrossing_partitions(m))
 
 
 def test_stream_count_is_catalan_up_to_14():
     for m in range(1, 15):
-        assert sum(1 for _ in _kernel.iter_nc_blocks(m)) == catalan(m)
+        assert sum(1 for _ in _core_py.iter_nc_blocks(m)) == catalan(m)
 
 
 def test_enumeration_cap():

@@ -387,9 +387,10 @@ def test_r_m_transfer_argument_validation():
 # --------------------------------------------------- the Cauchy polynomial
 
 
-def test_cauchy_residual_vanishes_on_true_moments():
-    residual = cauchy_polynomial_residual(8)
-    assert len(residual) == 9
+@pytest.mark.parametrize("n_moments", [8, 30])
+def test_cauchy_residual_vanishes_on_true_moments(n_moments):
+    residual = cauchy_polynomial_residual(n_moments)
+    assert len(residual) == n_moments + 1
     assert all(c == 0 for c in residual)
 
 
