@@ -7,8 +7,8 @@ block multigraphs and their oriented outercycles) lives in
 ``partitions`` and ``cactus``; the summation formulas and their
 brute-force oracle in ``cumulants``; the polynomial-time interval DP that
 the command line uses by default in ``dp``; truncated power series and the
-generating-function identities in ``series``.  ``freecactus.cli`` wires
-it all into a command line tool.
+generating-function identities in ``series``; the self-checks in ``verify``.
+``freecactus.cli`` wires it all into a command line tool.
 """
 
 from freecactus.cactus import (
@@ -45,7 +45,7 @@ from freecactus.cumulants import (
     semicircular_anticommutator,
 )
 from freecactus.dp import DEFAULT_DP_CAP, dp_cumulants
-from freecactus.errors import CumulantOrderError, ResourceCapError
+from freecactus.errors import ResourceCapError
 from freecactus.series import (
     DEFAULT_SERIES_ORDER,
     FunctionalEquationReport,

@@ -3,7 +3,7 @@
 Subcommands cover the counting tables, explicit enumerations, cumulant
 computations with selectable routes (the interval DP by default, the
 paper's partition and graph formulas on request), the series identities, and
-self-contained verification suites.  Output defaults to JSON (one
+the self-checks of ``freecactus.verify``.  Output defaults to JSON (one
 document per result record); rationals are always rendered as "p/q"
 strings so nothing is ever rounded.  Exit codes: 0 success, 1 a
 verification or route-agreement failure, 2 usage errors, 3 a resource
@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
-from fractions import Fraction
 
 from freecactus import cactus as cactus_mod
 from freecactus.cumulants import (
@@ -24,42 +22,30 @@ from freecactus.cumulants import (
     WeightMatrix,
     anticommutator_cumulant,
     anticommutator_cumulant_graphwise,
-    even_anticommutator,
     format_rational,
-    free_poisson_anticommutator_polynomial,
-    oracle_anticommutator_cumulants,
-    oracle_quadratic_cumulants,
     parse_spec,
     product_cumulant,
     quadratic_form_cumulant,
-    random_explicit_spec,
     semicircular_anticommutator,
 )
 from freecactus.dp import ANTICOMMUTATOR_WEIGHTS, PRODUCT_WEIGHTS, dp_cumulants
 from freecactus.errors import ResourceCapError
 from freecactus.partitions import (
     catalan,
-    classify,
     enumerate_nc,
     enumerate_y,
-    interval_pairing,
-    join,
-    kreweras,
     level_counts,
-    x_membership,
     y_membership,
 )
 from freecactus.series import (
     DEFAULT_SERIES_ORDER,
-    TruncatedSeries,
     cauchy_polynomial_residual,
     check_functional_equations,
-    free_poisson_pair_cumulants,
     minverse_closed_form,
-    r_m_transfer,
     y_count_recursive,
     y_series,
 )
+from freecactus.verify import SUITES, run_suite
 
 _NUMERIC = re.compile(r"-?[0-9]+(/[0-9]+)?$")
 
@@ -327,248 +313,18 @@ def cmd_series(args) -> int:
 # ------------------------------------------------------------------ verify
 
 
-def _check(name, fn):
-    try:
-        detail = fn()
-        return {"name": name, "pass": True, **({"detail": detail} if detail else {})}
-    except AssertionError as exc:
-        return {"name": name, "pass": False, "detail": str(exc) or "assertion failed"}
-
-
-def _suite_kreweras(cap):
-    def roundtrip_and_size():
-        for m in range(1, 7):
-            for p in enumerate_nc(m, cap=cap):
-                k = kreweras(p)
-                assert kreweras(k, direction="inverse") == p, p.to_text()
-                assert len(k) == m + 1 - len(p), p.to_text()
-        return "m <= 6 exhaustive"
-
-    def parity_swap():
-        for n in (1, 2):
-            for p in enumerate_nc(2 * n, cap=cap):
-                before = classify(p)
-                after = classify(kreweras(p))
-                assert before.even == after.parity_preserving, p.to_text()
-        return "even ground sets 2 and 4"
-
-    def complement_of_family():
-        for n in range(1, 5):
-            from_y = {
-                kreweras(s).to_text() for s in enumerate_y(2 * n, cap=cap)
-            }
-            direct = {
-                p.to_text()
-                for p in enumerate_nc(2 * n, cap=cap)
-                if x_membership(p)
-            }
-            assert from_y == direct, f"2n = {2 * n}"
-        return "complement image matches the graph test, n <= 4"
-
-    return [
-        ("kreweras.roundtrip_and_size", roundtrip_and_size),
-        ("kreweras.parity_swap", parity_swap),
-        ("kreweras.complement_of_family", complement_of_family),
-    ]
-
-
-def _suite_cactus(cap):
-    def connectivity_is_join():
-        for n in range(1, 5):
-            for p in enumerate_nc(2 * n, cap=cap):
-                g = cactus_mod.build_graph(p)
-                joined = join(p, interval_pairing(n))
-                assert cactus_mod.is_connected(g) == (len(joined) == 1), p.to_text()
-        return "n <= 4"
-
-    def connected_validates():
-        for n in range(1, 5):
-            for p in enumerate_nc(2 * n, cap=cap):
-                g = cactus_mod.build_graph(p)
-                if cactus_mod.is_connected(g):
-                    assert cactus_mod.validate_cactus(g).is_cactus, p.to_text()
-        return "every connected block graph is a cactus, n <= 4"
-
-    def euler_relation():
-        for n in range(1, 5):
-            for p in enumerate_nc(2 * n, cap=cap):
-                g = cactus_mod.build_graph(p)
-                if not cactus_mod.is_connected(g):
-                    continue
-                count = cactus_mod.validate_cactus(g).simple_cycle_count
-                assert count == len(kreweras(p, "inverse")) - n, p.to_text()
-        return "simple cycles = inverse complement blocks - n, n <= 4"
-
-    def class_sizes():
-        for n in range(1, 5):
-            classes = cactus_mod.enumerate_oriented_cacti(n, cap=cap)
-            total = 0
-            for rep, members in classes.values():
-                assert len(members) == 2**rep.f_c, rep.signature
-                total += len(members)
-            connected = sum(
-                1
-                for p in enumerate_nc(2 * n, cap=cap)
-                if cactus_mod.is_connected(cactus_mod.build_graph(p))
-            )
-            assert total == connected, f"n = {n}"
-            trees = sum(
-                1 for rep, _m in classes.values() if not any(rep.edge_rigidity)
-            )
-            assert trees == catalan(n), f"tree classes at n = {n}"
-        return "sizes 2^fC, union complete, trees Catalan, n <= 4"
-
-    return [
-        ("cactus.connectivity_is_join", connectivity_is_join),
-        ("cactus.connected_validates", connected_validates),
-        ("cactus.euler_relation", euler_relation),
-        ("cactus.class_sizes", class_sizes),
-    ]
-
-
-def _suite_formulas(seed, cap, oracle_cap):
-    rng = random.Random(seed)
-
-    def routes_agree():
-        for _ in range(5):
-            a = random_explicit_spec(rng, 4)
-            b = random_explicit_spec(rng, 4)
-            from_oracle = oracle_anticommutator_cumulants(a, b, 3, cap=oracle_cap)
-            from_dp = dp_cumulants((a, b), ANTICOMMUTATOR_WEIGHTS, 3, cap=cap)
-            for n in (1, 2, 3):
-                direct = anticommutator_cumulant(a, b, n, cap=cap)
-                graph = anticommutator_cumulant_graphwise(a, b, n, cap=cap)
-                assert (
-                    from_dp[n - 1] == direct == graph == from_oracle[n - 1]
-                ), (a.name, b.name, n)
-        return "5 random pairs, n <= 3, dp, partition, graph and oracle"
-
-    def quadratic_routes_agree():
-        for k in (2, 3):
-            specs = tuple(random_explicit_spec(rng, 4) for _ in range(k))
-            rows = [[Fraction(0)] * k for _ in range(k)]
-            for i in range(k):
-                for j in range(i, k):
-                    rows[i][j] = rows[j][i] = Fraction(
-                        rng.randint(-2, 2), rng.choice((1, 2))
-                    )
-            weights = WeightMatrix(tuple(tuple(r) for r in rows))
-            from_oracle = oracle_quadratic_cumulants(
-                specs, weights, 3, cap=oracle_cap
-            )
-            from_dp = dp_cumulants(specs, weights.entries, 3, cap=cap)
-            for n in (1, 2, 3):
-                p = quadratic_form_cumulant(
-                    specs, weights, n, route="partition", cap=cap
-                )
-                g = quadratic_form_cumulant(specs, weights, n, route="graph", cap=cap)
-                assert from_dp[n - 1] == p == g == from_oracle[n - 1], (k, n)
-        return "k = 2 and 3, n <= 3, dp, both paper routes and oracle"
-
-    def special_cases():
-        values = []
-        for _ in range(4):
-            values.append(Fraction(0))
-            values.append(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))))
-        even_spec = CumulantSpec.explicit(values)
-        partner_values = [Fraction(0) if i % 2 == 0 else Fraction(rng.randint(-3, 3)) for i in range(8)]
-        partner = CumulantSpec.explicit(partner_values)
-        for m in range(1, 7):
-            assert even_anticommutator(even_spec, partner, m) == anticommutator_cumulant(
-                even_spec, partner, m, cap=cap
-            ), m
-        general = random_explicit_spec(rng, 5)
-        s = CumulantSpec.semicircular()
-        for m in range(1, 7):
-            assert semicircular_anticommutator(general, m, cap=cap) == anticommutator_cumulant(
-                general, s, m, cap=cap
-            ), m
-        return "even formula and semicircular formula vs the general route, m <= 6"
-
-    def rate_polynomial():
-        for n in range(1, 5):
-            coeffs = free_poisson_anticommutator_polynomial(n, cap=cap)
-            for lam in (Fraction(1), Fraction(2), Fraction(5, 2)):
-                spec = CumulantSpec.free_poisson(lam)
-                value = sum(d * lam ** (n + 1 - r) for r, d in enumerate(coeffs))
-                assert value == anticommutator_cumulant(spec, spec, n, cap=cap), (n, lam)
-        return "rate polynomial evaluation, n <= 4"
-
-    return [
-        ("formulas.routes_agree", routes_agree),
-        ("formulas.quadratic_routes_agree", quadratic_routes_agree),
-        ("formulas.special_cases", special_cases),
-        ("formulas.rate_polynomial", rate_polynomial),
-    ]
-
-
-def _suite_series():
-    def functional_equations():
-        report = check_functional_equations(*y_series(10))
-        assert report.all_pass, report.failing()
-        return "four residuals vanish at order 10"
-
-    def closed_form_inverse():
-        kappas = free_poisson_pair_cumulants(9)
-        rm = r_m_transfer(kappas, 9)
-        inv = minverse_closed_form(9)
-        assert inv == rm.M.comp_inverse()
-        assert rm.M.compose(inv) == TruncatedSeries.identity(9)
-        return "closed form inverts the moment series at order 9"
-
-    def transfer_identity():
-        rm = r_m_transfer(free_poisson_pair_cumulants(8), 8)
-        one_plus_z = TruncatedSeries.from_coefficients([1, 1], 8)
-        assert rm.M.comp_inverse() == rm.R.comp_inverse() / one_plus_z
-        return "moment and cumulant inverses agree at order 8"
-
-    def cauchy_polynomial():
-        residual = cauchy_polynomial_residual(8)
-        assert all(c == 0 for c in residual)
-        return "degree-six residual vanishes with 8 moments"
-
-    return [
-        ("series.functional_equations", functional_equations),
-        ("series.closed_form_inverse", closed_form_inverse),
-        ("series.transfer_identity", transfer_identity),
-        ("series.cauchy_polynomial", cauchy_polynomial),
-    ]
-
-
 def cmd_verify(args) -> int:
-    checks = []
-    if args.suite in ("all", "kreweras"):
-        checks += _suite_kreweras(args.cap)
-    if args.suite in ("all", "cactus"):
-        checks += _suite_cactus(args.cap)
-    if args.suite in ("all", "formulas"):
-        checks += _suite_formulas(args.seed, args.cap, args.oracle_cap)
-    if args.suite in ("all", "series"):
-        checks += _suite_series()
-    results = [_check(name, fn) for name, fn in checks]
-    failures = [r["name"] for r in results if not r["pass"]]
-    summary = {
-        "suite": args.suite,
-        "seed": args.seed,
-        "passed": len(results) - len(failures),
-        "failed": len(failures),
-        "failures": failures,
-        "checks": results,
-    }
+    summary = run_suite(args.suite, args.seed, args.cap, args.oracle_cap)
     if args.format == "json":
         print(json.dumps(summary))
     else:
         rows = [
-            {
-                "check": r["name"],
-                "pass": r["pass"],
-                "detail": r.get("detail", ""),
-            }
-            for r in results
+            {"check": r["name"], "pass": r["pass"], "detail": r.get("detail", "")}
+            for r in summary["checks"]
         ]
         print(_render_table(rows))
         print(f"{summary['passed']} passed, {summary['failed']} failed")
-    return 0 if not failures else 1
+    return 0 if not summary["failures"] else 1
 
 
 # ------------------------------------------------------------------ parser
@@ -590,15 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
             "ground-set cap override: enumerations default to 16, "
             "the dp route to 60"
         ),
-    )
-    common.add_argument(
-        "--oracle-cap",
-        type=_positive_int,
-        default=None,
-        help="oracle order cap override",
-    )
-    common.add_argument(
-        "--seed", type=int, default=1729, help="seed for randomized verification"
     )
 
     parser = argparse.ArgumentParser(
@@ -676,10 +423,15 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser(
         "verify", parents=[common], help="run the self-verification suites"
     )
+    ver.add_argument("--suite", choices=("all", *SUITES), default="all")
     ver.add_argument(
-        "--suite",
-        choices=("all", "kreweras", "cactus", "formulas", "series"),
-        default="all",
+        "--oracle-cap",
+        type=_positive_int,
+        default=None,
+        help="oracle order cap override",
+    )
+    ver.add_argument(
+        "--seed", type=int, default=1729, help="seed for randomized verification"
     )
     ver.set_defaults(func=cmd_verify)
     return parser

@@ -32,7 +32,7 @@ from freecactus.cactus import (
     g_exponent,
     is_connected,
 )
-from freecactus.errors import CumulantOrderError, ResourceCapError
+from freecactus.errors import ResourceCapError
 from freecactus.partitions import (
     Partition,
     enumerate_nc,
@@ -70,15 +70,12 @@ class CumulantSpec:
 
     Three kinds: semicircular (kappa_2 = 1, everything else 0), free
     Poisson with a rate (every cumulant equals the rate), and an explicit
-    finite list.  Explicit specs default to zero beyond the list; strict
-    ones raise CumulantOrderError instead, for data that must never be
-    silently extended.
+    finite list, zero beyond its end.
     """
 
     kind: str
     rate: Fraction | None = None
     values: tuple[Fraction, ...] | None = None
-    strict: bool = False
     name: str = ""
 
     @classmethod
@@ -93,13 +90,11 @@ class CumulantSpec:
         )
 
     @classmethod
-    def explicit(cls, values, padding: str = "zero", name: str = "") -> "CumulantSpec":
-        if padding not in ("zero", "error"):
-            raise ValueError(f"padding must be 'zero' or 'error', got {padding!r}")
+    def explicit(cls, values, name: str = "") -> "CumulantSpec":
         vals = tuple(Fraction(v) for v in values)
         if not name:
             name = "cumulants:[" + ",".join(format_rational(v) for v in vals) + "]"
-        return cls(kind="explicit", values=vals, strict=padding == "error", name=name)
+        return cls(kind="explicit", values=vals, name=name)
 
     def kappa(self, n: int) -> Fraction:
         """The free cumulant of order n (n >= 1)."""
@@ -111,11 +106,6 @@ class CumulantSpec:
             return self.rate
         if n <= len(self.values):
             return self.values[n - 1]
-        if self.strict:
-            raise CumulantOrderError(
-                f"spec {self.name or 'explicit'} defines cumulants up to order "
-                f"{len(self.values)}, order {n} was requested"
-            )
         return Fraction(0)
 
     def scaled(self, t) -> "CumulantSpec":
@@ -130,7 +120,6 @@ class CumulantSpec:
         t = Fraction(t)
         return CumulantSpec.explicit(
             [v * t**j for j, v in enumerate(self.values, start=1)],
-            padding="error" if self.strict else "zero",
             name=f"{format_rational(t)}*({self.name})",
         )
 
@@ -581,8 +570,8 @@ def oracle_quadratic_cumulants(
 
 def random_explicit_spec(rng: random.Random, length: int) -> CumulantSpec:
     """A reproducible random explicit spec: numerators in [-3, 3],
-    denominators in {1, 2, 3}.  Shared by the property tests and the CLI
-    verification suite so both exercise the same distribution family."""
+    denominators in {1, 2, 3}.  Shared by the property tests and the
+    verification suites so both exercise the same distribution family."""
     values = [
         Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(length)
     ]

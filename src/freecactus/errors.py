@@ -11,7 +11,3 @@ class ResourceCapError(RuntimeError):
     The message always names the cap that was hit, so callers can suggest
     raising it explicitly.
     """
-
-
-class CumulantOrderError(ValueError):
-    """A cumulant spec in strict mode was asked for an order beyond its list."""

@@ -1,0 +1,262 @@
+"""Self-verification suites behind ``freecactus verify``.
+
+``SUITES`` maps each suite to its checks in run order; a check is named
+suite.function.  A check takes the run's ``Settings`` and returns what it
+covered, or fails through ``require``, which ``python -O`` does not strip
+as it does ``assert``.  Only the formulas suite draws from the seeded
+generator.  The interval DP is the reference for every paper formula and
+series identity; the two routes_agree checks tie the DP itself to the
+partition route, the graph route and the word-expansion oracle.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import NamedTuple
+
+from freecactus import cactus as cactus_mod
+from freecactus.cumulants import (
+    ANTICOMMUTATOR_WEIGHTS,
+    CumulantSpec,
+    WeightMatrix,
+    anticommutator_cumulant,
+    anticommutator_cumulant_graphwise,
+    even_anticommutator,
+    free_poisson_anticommutator_polynomial,
+    moments_from_cumulants,
+    oracle_anticommutator_cumulants,
+    oracle_quadratic_cumulants,
+    quadratic_form_cumulant,
+    random_explicit_spec,
+    semicircular_anticommutator,
+)
+from freecactus.dp import dp_cumulants
+from freecactus.partitions import (
+    catalan,
+    classify,
+    enumerate_nc,
+    enumerate_y,
+    interval_pairing,
+    join,
+    kreweras,
+    x_membership,
+)
+from freecactus.series import (
+    TruncatedSeries,
+    cauchy_polynomial_residual,
+    check_functional_equations,
+    minverse_closed_form,
+    r_m_transfer,
+    y_series,
+)
+
+
+class Settings(NamedTuple):
+    rng: random.Random
+    cap: int | None
+    oracle_cap: int | None
+
+
+def require(condition, detail) -> None:
+    """Fail the running check with ``detail`` unless ``condition`` holds."""
+    if not condition:
+        raise AssertionError(detail)
+
+
+def roundtrip_and_size(s: Settings) -> str:
+    for m in range(1, 7):
+        for p in enumerate_nc(m, cap=s.cap):
+            k = kreweras(p)
+            require(kreweras(k, direction="inverse") == p, p)
+            require(len(k) == m + 1 - len(p), p)
+    return "m <= 6 exhaustive"
+
+
+def parity_swap(s: Settings) -> str:
+    for n in (1, 2):
+        for p in enumerate_nc(2 * n, cap=s.cap):
+            require(classify(p).even == classify(kreweras(p)).parity_preserving, p)
+    return "even ground sets 2 and 4"
+
+
+def complement_of_family(s: Settings) -> str:
+    for n in range(1, 5):
+        from_y = {kreweras(q).to_text() for q in enumerate_y(2 * n, cap=s.cap)}
+        family = filter(x_membership, enumerate_nc(2 * n, cap=s.cap))
+        direct = {p.to_text() for p in family}
+        require(from_y == direct, f"2n = {2 * n}")
+    return "complement image matches the graph test, n <= 4"
+
+
+def connectivity_is_join(s: Settings) -> str:
+    for n in range(1, 5):
+        for p in enumerate_nc(2 * n, cap=s.cap):
+            g = cactus_mod.build_graph(p)
+            joined = join(p, interval_pairing(n))
+            require(cactus_mod.is_connected(g) == (len(joined) == 1), p)
+    return "n <= 4"
+
+
+def connected_validates(s: Settings) -> str:
+    for n in range(1, 5):
+        for p in enumerate_nc(2 * n, cap=s.cap):
+            g = cactus_mod.build_graph(p)
+            if cactus_mod.is_connected(g):
+                require(cactus_mod.validate_cactus(g).is_cactus, p)
+    return "every connected block graph is a cactus, n <= 4"
+
+
+def euler_relation(s: Settings) -> str:
+    for n in range(1, 5):
+        for p in enumerate_nc(2 * n, cap=s.cap):
+            g = cactus_mod.build_graph(p)
+            if not cactus_mod.is_connected(g):
+                continue
+            count = cactus_mod.validate_cactus(g).simple_cycle_count
+            require(count == len(kreweras(p, "inverse")) - n, p)
+    return "simple cycles = inverse complement blocks - n, n <= 4"
+
+
+def class_sizes(s: Settings) -> str:
+    for n in range(1, 5):
+        classes = cactus_mod.enumerate_oriented_cacti(n, cap=s.cap)
+        total = 0
+        for rep, members in classes.values():
+            require(len(members) == 2**rep.f_c, rep.signature)
+            total += len(members)
+        graphs = (cactus_mod.build_graph(p) for p in enumerate_nc(2 * n, cap=s.cap))
+        require(total == sum(map(cactus_mod.is_connected, graphs)), f"n = {n}")
+        trees = sum(1 for rep, _m in classes.values() if not any(rep.edge_rigidity))
+        require(trees == catalan(n), f"tree classes at n = {n}")
+    return "sizes 2^fC, union complete, trees Catalan, n <= 4"
+
+
+def routes_agree(s: Settings) -> str:
+    for _ in range(5):
+        a = random_explicit_spec(s.rng, 4)
+        b = random_explicit_spec(s.rng, 4)
+        from_oracle = oracle_anticommutator_cumulants(a, b, 3, cap=s.oracle_cap)
+        from_dp = dp_cumulants((a, b), ANTICOMMUTATOR_WEIGHTS, 3, cap=s.cap)
+        for n in (1, 2, 3):
+            direct = anticommutator_cumulant(a, b, n, cap=s.cap)
+            graph = anticommutator_cumulant_graphwise(a, b, n, cap=s.cap)
+            agree = from_dp[n - 1] == direct == graph == from_oracle[n - 1]
+            require(agree, (a.name, b.name, n))
+    return "5 random pairs, n <= 3, dp, partition, graph and oracle"
+
+
+def quadratic_routes_agree(s: Settings) -> str:
+    for k in (2, 3):
+        specs = tuple(random_explicit_spec(s.rng, 4) for _ in range(k))
+        rows = [[Fraction(0)] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                w = Fraction(s.rng.randint(-2, 2), s.rng.choice((1, 2)))
+                rows[i][j] = rows[j][i] = w
+        weights = WeightMatrix(tuple(tuple(r) for r in rows))
+        from_oracle = oracle_quadratic_cumulants(specs, weights, 3, cap=s.oracle_cap)
+        from_dp = dp_cumulants(specs, weights.entries, 3, cap=s.cap)
+        for n in (1, 2, 3):
+            p = quadratic_form_cumulant(specs, weights, n, route="partition", cap=s.cap)
+            g = quadratic_form_cumulant(specs, weights, n, route="graph", cap=s.cap)
+            require(from_dp[n - 1] == p == g == from_oracle[n - 1], (k, n))
+    return "k = 2 and 3, n <= 3, dp, both paper routes and oracle"
+
+
+def special_cases(s: Settings) -> str:
+    # The even pair takes kappa_2, kappa_4, .. from a random spec; odd orders are 0.
+    drawn = random_explicit_spec(s.rng, 4).values
+    even = CumulantSpec.explicit([v for x in drawn for v in (0, x)])
+    partner = CumulantSpec.explicit([s.rng.randint(-3, 3) if i % 2 else 0 for i in range(8)])
+    from_dp = dp_cumulants((even, partner), ANTICOMMUTATOR_WEIGHTS, 6, cap=s.cap)
+    for m in range(1, 7):
+        require(even_anticommutator(even, partner, m) == from_dp[m - 1], ("even", m))
+    pair = (random_explicit_spec(s.rng, 5), CumulantSpec.semicircular())
+    from_dp = dp_cumulants(pair, ANTICOMMUTATOR_WEIGHTS, 6, cap=s.cap)
+    for m in range(1, 7):
+        kappa = semicircular_anticommutator(pair[0], m, cap=s.cap)
+        require(kappa == from_dp[m - 1], ("semicircular", m))
+    return "even formula and semicircular formula vs dp, m <= 6"
+
+
+def rate_polynomial(s: Settings) -> str:
+    levels = [free_poisson_anticommutator_polynomial(n, s.cap) for n in range(1, 5)]
+    for lam in (Fraction(1), Fraction(2), Fraction(5, 2)):
+        spec = CumulantSpec.free_poisson(lam)
+        from_dp = dp_cumulants((spec, spec), ANTICOMMUTATOR_WEIGHTS, 4, cap=s.cap)
+        for n, coeffs in enumerate(levels, start=1):
+            value = sum(d * lam ** (n + 1 - r) for r, d in enumerate(coeffs))
+            require(value == from_dp[n - 1], (n, lam))
+    return "rate polynomial of the level scan vs dp, n <= 4"
+
+
+def _poisson_pair(n_max: int) -> list[Fraction]:
+    """kappa_n(ab + ba), free Poisson(1) a and b, by DP, not the counting recursion."""
+    one = CumulantSpec.free_poisson(1)
+    return dp_cumulants((one, one), ANTICOMMUTATOR_WEIGHTS, n_max)
+
+
+def functional_equations(s: Settings) -> str:
+    report = check_functional_equations(*y_series(10))
+    require(report.all_pass, report.failing())
+    return "four residuals vanish at order 10"
+
+
+def closed_form_inverse(s: Settings) -> str:
+    rm = r_m_transfer(_poisson_pair(9), 9)
+    inv = minverse_closed_form(9)
+    require(inv == rm.M.comp_inverse(), "closed form differs from the inverse of M")
+    require(rm.M.compose(inv) == TruncatedSeries.identity(9), "M(closed form) is not z")
+    return "closed form inverts the dp moment series at order 9"
+
+
+def transfer_identity(s: Settings) -> str:
+    rm = r_m_transfer(_poisson_pair(8), 8)
+    inverse = rm.R.comp_inverse() / TruncatedSeries.from_coefficients([1, 1], 8)
+    require(rm.M.comp_inverse() == inverse, "M^-1(z) differs from R^-1(z) / (1 + z)")
+    return "dp moment and cumulant inverses agree at order 8"
+
+
+def cauchy_polynomial(s: Settings) -> str:
+    moments = moments_from_cumulants(CumulantSpec.explicit(_poisson_pair(8)), 8)
+    residual = cauchy_polynomial_residual(8, moments)
+    require(all(c == 0 for c in residual), [str(c) for c in residual])
+    return "degree-six residual vanishes on 8 dp moments"
+
+
+SUITES = {
+    "kreweras": (roundtrip_and_size, parity_swap, complement_of_family),
+    "cactus": (connectivity_is_join, connected_validates, euler_relation, class_sizes),
+    "formulas": (routes_agree, quadratic_routes_agree, special_cases, rate_polynomial),
+    "series": (functional_equations, closed_form_inverse, transfer_identity, cauchy_polynomial),
+}
+
+
+def _run_check(name: str, check, settings: Settings) -> dict:
+    try:
+        detail = check(settings)
+        return {"name": name, "pass": True, **({"detail": detail} if detail else {})}
+    except AssertionError as exc:
+        return {"name": name, "pass": False, "detail": str(exc) or "assertion failed"}
+
+
+def run_suite(suite: str = "all", seed: int = 1729, cap=None, oracle_cap=None) -> dict:
+    """Run one suite, or all in table order, and return the summary.  ``cap``
+    bounds the enumerations and the DP of the kreweras, cactus and formulas
+    suites, ``oracle_cap`` the oracle; a refusal propagates."""
+    settings = Settings(random.Random(seed), cap, oracle_cap)
+    results = [
+        _run_check(f"{name}.{check.__name__}", check, settings)
+        for name in (SUITES if suite == "all" else (suite,))
+        for check in SUITES[name]
+    ]
+    failures = [r["name"] for r in results if not r["pass"]]
+    return {
+        "suite": suite,
+        "seed": seed,
+        "passed": len(results) - len(failures),
+        "failed": len(failures),
+        "failures": failures,
+        "checks": results,
+    }

@@ -422,6 +422,10 @@ def test_usage_errors_exit_two(capsys):
         )
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "y", "--m", "8", "--seed", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_bad_spec_exits_two(capsys):

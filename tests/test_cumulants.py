@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import bruteforce
 from freecactus import (
-    CumulantOrderError,
     CumulantSpec,
     Partition,
     ResourceCapError,
@@ -98,18 +97,6 @@ def test_explicit_pads_with_zero_by_default():
     assert spec.kappa(2) == Fraction(1, 2)
     assert spec.kappa(3) == 0
     assert spec.kappa(40) == 0
-
-
-def test_explicit_strict_raises_past_the_list():
-    spec = CumulantSpec.explicit([1, 2, 3], padding="error")
-    assert spec.kappa(3) == 3
-    with pytest.raises(CumulantOrderError, match="order 4"):
-        spec.kappa(4)
-
-
-def test_explicit_rejects_unknown_padding():
-    with pytest.raises(ValueError, match="padding"):
-        CumulantSpec.explicit([1], padding="extend")
 
 
 def test_kappa_rejects_order_zero():

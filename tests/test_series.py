@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freecactus import enumerate_y
-from freecactus.cumulants import CumulantSpec, moments_from_cumulants
+from freecactus.cumulants import (
+    ANTICOMMUTATOR_WEIGHTS,
+    CumulantSpec,
+    moments_from_cumulants,
+)
+from freecactus.dp import dp_cumulants
 from freecactus.series import (
     DEFAULT_SERIES_ORDER,
     TruncatedSeries,
@@ -391,6 +396,17 @@ def test_r_m_transfer_argument_validation():
 def test_cauchy_residual_vanishes_on_true_moments(n_moments):
     residual = cauchy_polynomial_residual(n_moments)
     assert len(residual) == n_moments + 1
+    assert all(c == 0 for c in residual)
+
+
+def test_cauchy_residual_vanishes_on_dp_moments():
+    # The DP shares no code with the counting recursion behind the default
+    # moments, so this checks the degree-six polynomial independently.
+    one = CumulantSpec.free_poisson(1)
+    kappas = dp_cumulants((one, one), ANTICOMMUTATOR_WEIGHTS, 30)
+    moments = moments_from_cumulants(CumulantSpec.explicit(kappas), 30)
+    residual = cauchy_polynomial_residual(30, moments)
+    assert len(residual) == 31
     assert all(c == 0 for c in residual)
 
 

@@ -1,0 +1,78 @@
+"""Tests for the self-verification suites: the pinned check list and
+failures that must survive ``python -O``."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import freecactus
+from freecactus.verify import SUITES, run_suite
+
+PINNED = {
+    "kreweras": [
+        "kreweras.roundtrip_and_size",
+        "kreweras.parity_swap",
+        "kreweras.complement_of_family",
+    ],
+    "cactus": [
+        "cactus.connectivity_is_join",
+        "cactus.connected_validates",
+        "cactus.euler_relation",
+        "cactus.class_sizes",
+    ],
+    "formulas": [
+        "formulas.routes_agree",
+        "formulas.quadratic_routes_agree",
+        "formulas.special_cases",
+        "formulas.rate_polynomial",
+    ],
+    "series": [
+        "series.functional_equations",
+        "series.closed_form_inverse",
+        "series.transfer_identity",
+        "series.cauchy_polynomial",
+    ],
+}
+
+
+def test_suites_run_in_pinned_order():
+    # "all" runs the suites in table order.
+    assert list(SUITES) == list(PINNED)
+
+
+@pytest.mark.parametrize("suite", list(PINNED))
+def test_check_names_and_order_are_pinned(suite):
+    summary = run_suite(suite)
+    assert [c["name"] for c in summary["checks"]] == PINNED[suite]
+    assert summary["failed"] == 0
+
+
+FAILING_UNDER_O = """
+import sys
+if __debug__:
+    sys.exit(5)
+from freecactus import cli, verify
+verify.cauchy_polynomial_residual = lambda n, moments=None: [1] + [0] * n
+sys.exit(cli.main(["verify", "--suite", "series"]))
+"""
+
+
+def test_failing_check_fails_under_python_O():
+    src = str(Path(freecactus.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FAILING_UNDER_O],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["failures"] == ["series.cauchy_polynomial"]
+    (check,) = [c for c in summary["checks"] if c["name"] == "series.cauchy_polynomial"]
+    assert check["pass"] is False
