@@ -57,6 +57,7 @@ from freecactus.series import (
     minverse_closed_form,
     r_m_transfer,
     y_count_recursive,
+    y_level_counts,
     y_series,
 )
 from freecactus.partitions import (

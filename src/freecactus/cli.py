@@ -31,10 +31,10 @@ from freecactus.cumulants import (
 from freecactus.dp import ANTICOMMUTATOR_WEIGHTS, PRODUCT_WEIGHTS, dp_cumulants
 from freecactus.errors import ResourceCapError
 from freecactus.partitions import (
+    DEFAULT_ENUMERATION_CAP,
     catalan,
     enumerate_nc,
     enumerate_y,
-    level_counts,
     y_membership,
 )
 from freecactus.series import (
@@ -43,6 +43,7 @@ from freecactus.series import (
     check_functional_equations,
     minverse_closed_form,
     y_count_recursive,
+    y_level_counts,
     y_series,
 )
 from freecactus.verify import SUITES, run_suite
@@ -146,7 +147,14 @@ def cmd_count(args) -> int:
     if args.kind == "y":
         _emit_value(y_count_recursive(args.m), args.format)
     elif args.kind == "levels":
-        _emit_value(level_counts(args.m, cap=args.cap), args.format)
+        # Polynomial time, but still refused past the cap until a work budget
+        # takes its place.
+        cap = DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
+        if args.m > cap:
+            raise ResourceCapError(
+                f"level counts for m={args.m} exceed the enumeration cap {cap}"
+            )
+        _emit_value(y_level_counts(args.m), args.format)
     elif args.kind == "nc":
         _emit_value(catalan(args.m), args.format)
     else:

@@ -483,7 +483,10 @@ def level_counts(m: int, cap: int | None = None) -> list[int]:
 
     Entry r counts members with exactly r even-only blocks.  Runs on the
     kernel's pruned scan rather than by filtering the full enumeration;
-    the tests check the two agree.  For m = 8: [112, 41, 2].
+    the tests check the two agree.  For m = 8: [112, 41, 2].  The scan is
+    exponential in m and is kept as the reference: ``count levels`` is
+    served by the graded recursion ``series.y_level_counts``, and the
+    tests compare the two.
     """
     cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if m < 1:

@@ -1,6 +1,6 @@
 """Truncated formal power series over exact rationals, the counting
-recursion for the odd-separating family, and the generating-function
-identities it satisfies.
+recursion for the odd-separating family (graded by level), and the
+generating-function identities it satisfies.
 
 A TruncatedSeries carries coefficients c_0..c_N for a fixed order N and
 every operation stays exact: results of binary operations carry the
@@ -272,43 +272,66 @@ class TruncatedSeries:
 # --------------------------------------------------- the counting recursion
 
 
-def _count_lists(n_max: int) -> tuple[list[int], list[int]]:
+def _count_lists(n_max: int, t: int = 1) -> tuple[list[int], list[int]]:
     """Family sizes by parity: alpha[i] counts the even ground set 2i
     (alpha[0] = 1 for the empty partition), beta[i] the odd ground set
     2i - 1.
 
     The recursion mirrors the removal of the block containing the last
-    element: beta picks up 1/(1 - B) against the shifted alpha sequence,
-    alpha picks up the even-length compositions 1/(1 - B^2) plus the
-    boundary convolution of beta with itself one order up.
+    element: beta picks up g = 1/(1 - B) against the shifted alpha
+    sequence, alpha picks up h = 1/(1 - B^2) plus the boundary convolution
+    b2 = B^2 one order up.  None of g, b2 and h changes below its top
+    entry as n grows, so each order appends g[n - 1], b2[n + 1] and h[n]
+    and the whole run costs O(n_max^2) multiplications.
+
+    In B^2 h, the sum of (B^2)^s over s >= 1, the term (B^2)^s is the case
+    where the last element's block is even-only with 2s elements.  That
+    sum is multiplied by ``t``, so every member is counted with weight
+    t^level; t = 1 gives the plain sizes.
     """
-    alpha = [1] + [0] * n_max
-    beta = [0] * (n_max + 1)
+    alpha, beta = [1], [0]
+    g, b2, h = [1], [0, 0], [1]
     for n in range(1, n_max + 1):
-        g = [0] * n
-        g[0] = 1
-        for m in range(1, n):
-            g[m] = sum(beta[i] * g[m - i] for i in range(1, m + 1))
-        beta[n] = sum(g[m] * alpha[n - 1 - m] for m in range(n))
-        b2 = [0] * (n + 2)
-        for u in range(2, n + 2):
-            b2[u] = sum(beta[i] * beta[u - i] for i in range(1, u))
-        h = [0] * (n + 1)
-        h[0] = 1
-        for m in range(2, n + 1):
-            h[m] = sum(b2[i] * h[m - i] for i in range(2, m + 1))
-        alpha[n] = sum(b2[u] * h[n - u] for u in range(2, n + 1)) + b2[n + 1]
+        if n > 1:
+            g.append(sum(beta[i] * g[n - 1 - i] for i in range(1, n)))
+        beta.append(sum(g[m] * alpha[n - 1 - m] for m in range(n)))
+        b2.append(sum(beta[i] * beta[n + 1 - i] for i in range(1, n + 1)))
+        even_only = sum(b2[u] * h[n - u] for u in range(2, n + 1))
+        alpha.append(t * even_only + b2[n + 1])
+        h.append(even_only)
     return alpha, beta
+
+
+def _family_size(m: int, t: int = 1) -> int:
+    """Size of the odd-separating family on [m], each member weighted by
+    t^level."""
+    if m < 1:
+        raise ValueError("ground set size must be at least 1")
+    alpha, beta = _count_lists((m + 1) // 2, t)
+    return alpha[m // 2] if m % 2 == 0 else beta[(m + 1) // 2]
 
 
 def y_count_recursive(m: int) -> int:
     """Size of the odd-separating family on [m], from the recursion alone;
     no partition is ever materialized, so this reaches far beyond the
     enumeration cap."""
-    if m < 1:
-        raise ValueError("ground set size must be at least 1")
-    alpha, beta = _count_lists((m + 1) // 2)
-    return alpha[m // 2] if m % 2 == 0 else beta[(m + 1) // 2]
+    return _family_size(m)
+
+
+def y_level_counts(m: int) -> list[int]:
+    """Histogram of the odd-separating family on [m] by level (the number
+    of even-only blocks), from the graded recursion in polynomial time.
+
+    The recursion runs at t = 2^k with 2^k above the family size, so no
+    level count can carry into the next and the base-2^k digits of the
+    weighted size are the histogram, lowest level first."""
+    shift = y_count_recursive(m).bit_length()
+    packed, mask = _family_size(m, 1 << shift), (1 << shift) - 1
+    levels = []
+    while packed:
+        levels.append(packed & mask)
+        packed >>= shift
+    return levels
 
 
 def y_series(order: int = DEFAULT_SERIES_ORDER) -> tuple[TruncatedSeries, TruncatedSeries]:
@@ -373,8 +396,11 @@ def check_functional_equations(
     even_from_odd = a - b2 / (one - b2) - b2.shift_down(1)
     odd_from_even = b - (a + 1) * x / (one - b)
     a1 = a + 1
+    a1_2 = a1 * a1
+    a1_3 = a1_2 * a1
+    a1_4 = a1_3 * a1
     even_quartic = (
-        4 * a1**4 * x * x + 7 * a1**3 * x - 4 * a1**2 * x - 2 * a1**2 + a1 + 1
+        4 * a1_4 * x * x + 7 * a1_3 * x - 4 * a1_2 * x - 2 * a1_2 + a1 + 1
     )
     odd_quartic = b * (1 - 2 * b) * (1 - b) * (1 + b) - x
     return FunctionalEquationReport(

@@ -32,6 +32,7 @@ from freecactus.cumulants import (
     semicircular_anticommutator,
 )
 from freecactus.dp import dp_cumulants
+from freecactus.errors import ResourceCapError
 from freecactus.partitions import (
     catalan,
     classify,
@@ -237,14 +238,15 @@ def _run_check(name: str, check, settings: Settings) -> dict:
     try:
         detail = check(settings)
         return {"name": name, "pass": True, **({"detail": detail} if detail else {})}
-    except AssertionError as exc:
+    except (AssertionError, ResourceCapError) as exc:
         return {"name": name, "pass": False, "detail": str(exc) or "assertion failed"}
 
 
 def run_suite(suite: str = "all", seed: int = 1729, cap=None, oracle_cap=None) -> dict:
     """Run one suite, or all in table order, and return the summary.  ``cap``
     bounds the enumerations and the DP of the kreweras, cactus and formulas
-    suites, ``oracle_cap`` the oracle; a refusal propagates."""
+    suites, ``oracle_cap`` the oracle; a check they refuse fails with the
+    refusal as its detail, and the rest still run."""
     settings = Settings(random.Random(seed), cap, oracle_cap)
     results = [
         _run_check(f"{name}.{check.__name__}", check, settings)

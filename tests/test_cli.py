@@ -448,6 +448,11 @@ def test_cap_exits_three(capsys):
     code, _out, err = run_cli(capsys, "enumerate", "partitions", "--m", "20")
     assert code == 3
     assert "cap" in err
+    for argv in (("--m", "17"), ("--m", "9", "--cap", "8")):
+        code, out, err = run_cli(capsys, "count", "levels", *argv)
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
 
 
 def test_asymmetric_weights_exit_two(capsys, tmp_path):

@@ -26,6 +26,7 @@ from freecactus import (
     q_count,
     restrict,
     x_membership,
+    y_level_counts,
     y_membership,
 )
 from freecactus import _core_py
@@ -327,6 +328,12 @@ def test_y_sizes_and_level_histograms_are_frozen(m):
     by_level = [hist.get(r, 0) for r in range(max(hist) + 1)]
     assert by_level == Y_LEVELS[m]
     assert level_counts(m) == Y_LEVELS[m]
+    assert y_level_counts(m) == Y_LEVELS[m]
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+def test_graded_recursion_matches_the_level_scan(m):
+    assert y_level_counts(m) == level_counts(m)
 
 
 def test_level_counts_cap():

@@ -24,12 +24,14 @@ from freecactus.dp import dp_cumulants
 from freecactus.series import (
     DEFAULT_SERIES_ORDER,
     TruncatedSeries,
+    _count_lists,
     cauchy_polynomial_residual,
     check_functional_equations,
     free_poisson_pair_cumulants,
     minverse_closed_form,
     r_m_transfer,
     y_count_recursive,
+    y_level_counts,
     y_series,
 )
 
@@ -262,6 +264,34 @@ def test_recursion_matches_enumeration_to_twelve():
         assert y_count_recursive(m) == sum(1 for _ in enumerate_y(m))
 
 
+def test_graded_recursion_sums_to_the_family_size():
+    # t = 2^shift exceeds every family size up to m = 200, so one graded
+    # run keeps the level counts of each m in separate base-t digits.
+    shift = y_count_recursive(200).bit_length()
+    alpha, beta = _count_lists(100, 1 << shift)
+    for m in range(1, 201):
+        packed = alpha[m // 2] if m % 2 == 0 else beta[(m + 1) // 2]
+        digits = []
+        while packed:
+            digits.append(packed % (1 << shift))
+            packed >>= shift
+        assert sum(digits) == y_count_recursive(m), m
+    assert sum(y_level_counts(200)) == y_count_recursive(200)
+
+
+@pytest.mark.parametrize("rate", [Fraction(2), Fraction(1, 3)])
+def test_graded_levels_give_the_poisson_pair_cumulants(rate):
+    """kappa_n(ab + ba) for two free Poisson(rate) variables is the sum of
+    2 levels(2n)[r] rate^(n + 1 - r); the DP shares no code with the
+    recursion, and n = 20 is far past the level scan's cap."""
+    spec = CumulantSpec.free_poisson(rate)
+    kappas = dp_cumulants((spec, spec), ANTICOMMUTATOR_WEIGHTS, 20)
+    for n in range(1, 21):
+        levels = y_level_counts(2 * n)
+        value = sum(2 * c * rate ** (n + 1 - r) for r, c in enumerate(levels))
+        assert value == kappas[n - 1], n
+
+
 def test_y_series_shape():
     a, b = y_series(6)
     assert a.order == b.order == 6
@@ -282,8 +312,11 @@ def test_free_poisson_pair_cumulants_frozen():
 # --------------------------------------------------- functional equations
 
 
-def test_functional_equations_pass_on_the_counting_pair():
-    report = check_functional_equations(*y_series(10))
+@pytest.mark.parametrize("order", [10, 100])
+def test_functional_equations_pass_on_the_counting_pair(order):
+    # The odd quartic fixes B and even_from_odd then fixes A, so this pins
+    # both series to the order without the recursion's code.
+    report = check_functional_equations(*y_series(order))
     assert report.all_pass
     assert report.failing() == []
     names = [name for name, _r in report.residuals]

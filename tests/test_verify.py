@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import freecactus
+from freecactus.cli import main
 from freecactus.verify import SUITES, run_suite
 
 PINNED = {
@@ -49,6 +50,17 @@ def test_check_names_and_order_are_pinned(suite):
     summary = run_suite(suite)
     assert [c["name"] for c in summary["checks"]] == PINNED[suite]
     assert summary["failed"] == 0
+
+
+def test_cap_refusal_fails_one_check_and_the_rest_run(capsys):
+    # special_cases asks the dp for order 6, a ground set of 12.
+    code = main(["verify", "--cap", "10"])
+    summary = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [c["name"] for c in summary["checks"]] == sum(PINNED.values(), [])
+    assert summary["failures"] == ["formulas.special_cases"]
+    (refused,) = [c for c in summary["checks"] if not c["pass"]]
+    assert refused["detail"].endswith("beyond the dp cap 10")
 
 
 FAILING_UNDER_O = """
