@@ -12,6 +12,11 @@ step within the block".
 The outercycle, renumbered by first visit, is a complete combinatorial
 invariant of the oriented cactus, so grouping partitions by that
 signature enumerates oriented cacti without a separate graph generator.
+The same walk decides connectivity (it reaches every block exactly when
+the graph is connected) and bipartiteness (colors alternating along it
+never clash), so classifying a partition is one pass over plain lists.
+``build_graph``, ``is_connected`` and ``bipartition`` remain as the
+independent graph-side reference for the self-checks and the tests.
 """
 
 from __future__ import annotations
@@ -175,8 +180,9 @@ def _biconnected_edge_components(g: BlockMultigraph) -> list[list[int]]:
     low: dict[int, int] = {}
     estack: list[int] = []
 
-    # Plain recursive Tarjan; vertex counts are tiny under the enumeration
-    # cap, so recursion depth is never a concern.
+    # Plain recursive Tarjan; the depth is at most the vertex count, so only
+    # a graph of about a thousand vertices would reach Python's recursion
+    # limit.
     def rec(u: int, in_edge: int) -> None:
         visited.add(u)
         for w, eid in adjacency[u]:
@@ -219,8 +225,9 @@ def validate_cactus(g: BlockMultigraph) -> CactusValidation:
     bridge.  The graph is a cactus when no edge lies on two simple cycles,
     i.e. when every biconnected component is a single edge or a plain
     cycle.  ``simple_cycle_count`` is exact either way: a non-cactus
-    component is counted by exhausting its edge subsets, which stays small
-    under the enumeration cap.
+    component is counted by exhausting its edge subsets, exponential in
+    that component's edge count.  No enumeration route calls this; the
+    self-checks and the tests keep their graphs small.
     """
     if not is_connected(g):
         raise ValueError("validate_cactus needs a connected graph")
@@ -276,6 +283,97 @@ def _count_cycles_exhaustively(g: BlockMultigraph, edge_ids: list[int]) -> int:
     return total
 
 
+def _outercycle(p: Partition) -> OrientedCactus | None:
+    """Walk the outercycle of p's block multigraph once, on plain lists.
+
+    Returns None when the walk misses a block.  The orbit of element 1
+    never leaves the component of block 1, and on a connected graph of a
+    non-crossing partition it visits every vertex, so "every block
+    visited" and "connected" are the same test.  One pass over the
+    recorded walk then yields the signature, the edge rigidity, f_C, the
+    degrees and the bipartition: consecutive entries of the walk are
+    joined by the edge crossed between them, the closing step included,
+    and the walk covers every edge, so alternating colors along it
+    two-colors the graph or meets an odd cycle.
+    """
+    blocks = p.blocks
+    size = p.ground_size
+    n = size // 2
+    if len(blocks) > n + 1:
+        return None  # n edges connect at most n + 1 vertices
+    # step[x] is the next element of the walk: the partner of x, then the
+    # next element of the partner's block.  ((y - 1) ^ 1) + 1 is y's partner.
+    step = [0] * (size + 1)
+    where = [0] * (size + 1)
+    for i, block in enumerate(blocks):
+        prev = block[-1]
+        for x in block:
+            step[((prev - 1) ^ 1) + 1] = x
+            where[x] = i
+            prev = x
+    vertex_new = [-1] * len(blocks)
+    old_vertices: list[int] = []
+    walk = []
+    x = 1
+    while True:
+        walk.append(x)
+        v = where[x]
+        if vertex_new[v] < 0:
+            vertex_new[v] = len(old_vertices)
+            old_vertices.append(v)
+        x = step[x]
+        if x == 1:
+            break
+    if len(old_vertices) != len(blocks):
+        return None
+    edge_new = [-1] * (n + 1)
+    visits = [0] * (n + 1)
+    old_edges: list[int] = []
+    color = [-1] * len(blocks)
+    bipartite = True
+    signature = []
+    prev_color = 1  # so that vertex 0, the block of 1, gets color 0
+    for x in walk:
+        nv = vertex_new[where[x]]
+        c = color[nv]
+        if c < 0:
+            prev_color = color[nv] = 1 - prev_color
+        elif c == prev_color:
+            bipartite = False
+        else:
+            prev_color = c
+        e = (x + 1) >> 1
+        ne = edge_new[e]
+        if ne < 0:
+            ne = edge_new[e] = len(old_edges)
+            old_edges.append(e)
+        visits[e] += 1
+        signature.append((nv, ne))
+    if prev_color == 0:
+        bipartite = False  # the closing step returns to vertex 0
+    assert len(old_edges) == n, (
+        "outercycle must cover every edge and vertex of a connected graph"
+    )
+    assert max(visits) <= 2  # every edge is walked once or twice
+    rigidity = tuple(visits[e] == 1 for e in old_edges)
+    flexible = rigidity.count(False)
+    first_edge_rigid = rigidity[0]
+    parts = None
+    if bipartite:
+        parts = (
+            tuple(v for v, c in enumerate(color) if c == 0),
+            tuple(v for v, c in enumerate(color) if c == 1),
+        )
+    return OrientedCactus(
+        signature=tuple(signature),
+        edge_rigidity=rigidity,
+        f_c=flexible if first_edge_rigid else flexible - 1,
+        first_edge_rigid=first_edge_rigid,
+        bipartition=parts,
+        degrees=tuple(len(blocks[v]) for v in old_vertices),
+    )
+
+
 def canonical_outercycle(p: Partition) -> OrientedCactus:
     """Walk the outercycle of a connected block multigraph and canonicalize.
 
@@ -286,63 +384,15 @@ def canonical_outercycle(p: Partition) -> OrientedCactus:
     Rigid edges are walked once, flexible edges twice, so the walk length
     is (#rigid) + 2(#flexible).
     """
-    g = build_graph(p)
-    if not is_connected(g):
+    if p.ground_size % 2:
+        raise ValueError("block multigraphs need an even ground set")
+    cactus = _outercycle(p)
+    if cactus is None:
+        assert not is_connected(build_graph(p)), (
+            "outercycle must cover every edge and vertex of a connected graph"
+        )
         raise ValueError("canonical_outercycle needs a connected block graph")
-    succ: dict[int, int] = {}
-    for block in p.blocks:
-        for a, b in zip(block, block[1:]):
-            succ[a] = b
-        succ[block[-1]] = block[0]
-    walk = []
-    x = 1
-    while True:
-        walk.append(x)
-        partner = x + 1 if x % 2 else x - 1
-        x = succ[partner]
-        if x == 1:
-            break
-    vertex_order: dict[int, int] = {}
-    edge_order: dict[int, int] = {}
-    signature = []
-    edge_visits: dict[int, int] = {}
-    for x in walk:
-        v = p.block_index_of(x)
-        e = (x + 1) // 2
-        signature.append(
-            (
-                vertex_order.setdefault(v, len(vertex_order)),
-                edge_order.setdefault(e, len(edge_order)),
-            )
-        )
-        edge_visits[e] = edge_visits.get(e, 0) + 1
-    n = p.ground_size // 2
-    assert len(edge_order) == n and len(vertex_order) == len(p.blocks), (
-        "outercycle must cover every edge and vertex of a connected graph"
-    )
-    assert all(c in (1, 2) for c in edge_visits.values())
-    rigidity = [False] * n
-    for e, count in edge_visits.items():
-        rigidity[edge_order[e]] = count == 1
-    flexible = rigidity.count(False)
-    first_edge_rigid = rigidity[0]
-    f_c = flexible if first_edge_rigid else flexible - 1
-    old_of_new_vertex = sorted(vertex_order, key=vertex_order.get)
-    degrees = tuple(len(p.blocks[v]) for v in old_of_new_vertex)
-    parts = bipartition(g, root=p.block_index_of(1))
-    renamed = None
-    if parts is not None:
-        renamed = tuple(
-            tuple(sorted(vertex_order[v] for v in side)) for side in parts
-        )
-    return OrientedCactus(
-        signature=tuple(signature),
-        edge_rigidity=tuple(rigidity),
-        f_c=f_c,
-        first_edge_rigid=first_edge_rigid,
-        bipartition=renamed,
-        degrees=degrees,
-    )
+    return cactus
 
 
 def g_exponent(c: OrientedCactus) -> int:
@@ -368,9 +418,9 @@ def enumerate_oriented_cacti(
         raise ValueError("n must be positive")
     classes: dict[Signature, tuple[OrientedCactus, list[Partition]]] = {}
     for p in enumerate_nc(2 * n, cap=cap):
-        if not is_connected(build_graph(p)):
+        cactus = _outercycle(p)
+        if cactus is None:
             continue
-        cactus = canonical_outercycle(p)
         if bipartite_only and cactus.bipartition is None:
             continue
         if cactus.signature in classes:

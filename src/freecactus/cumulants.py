@@ -18,6 +18,7 @@ moment-cumulant recursion.  The tests drive both sides against each other.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,7 @@ from typing import Sequence
 
 from freecactus import _core_py
 from freecactus.cactus import (
+    BlockMultigraph,
     bipartition,
     build_graph,
     enumerate_oriented_cacti,
@@ -408,30 +410,57 @@ def even_anticommutator(
 
 
 def _colored_sum(
-    p: Partition, specs: Sequence[CumulantSpec], weights: WeightMatrix
+    g: BlockMultigraph, specs: Sequence[CumulantSpec], weights: WeightMatrix
 ) -> Fraction:
-    """Sum over all block colorings of one connected partition: the edge
-    weight product times the per-block cumulants of the colored specs."""
-    edges = build_graph(p).edges
-    sizes = p.block_sizes()
-    total = Fraction(0)
-    for coloring in itertools.product(range(weights.k), repeat=len(sizes)):
-        weight = Fraction(1)
-        for u, v in edges:
-            w = weights.entries[coloring[u]][coloring[v]]
-            if w == 0:
-                weight = Fraction(0)
-                break
-            weight *= w
-        if weight == 0:
-            continue
-        term = weight
-        for i, size in enumerate(sizes):
-            term *= specs[coloring[i]].kappa(size)
-            if term == 0:
-                break
-        total += term
-    return total
+    """Sum over all vertex colorings of one connected block graph: the edge
+    weight product times the per-block cumulants of the colored specs.
+
+    Colors are chosen depth first, vertex by vertex, and the partial
+    product is carried down: vertex t brings its cumulant and the weight of
+    each edge whose later endpoint is t.  A zero factor prunes every
+    coloring below it.  Each vertex's cumulants are scaled to integers by
+    the lcm of their denominators, and the weights likewise, so every term
+    shares one denominator and the walk runs on ints.
+    """
+    weight_den = math.lcm(*(w.denominator for row in weights.entries for w in row))
+    scaled_weights = [
+        [w.numerator * (weight_den // w.denominator) for w in row]
+        for row in weights.entries
+    ]
+    denominator = weight_den ** len(g.edges)
+    kappas = []
+    for size in g.vertex_degrees:
+        row = [spec.kappa(size) for spec in specs]
+        den = math.lcm(*(f.denominator for f in row))
+        denominator *= den
+        kappas.append(
+            [(c, f.numerator * (den // f.denominator)) for c, f in enumerate(row) if f]
+        )
+    vertex_count = g.vertex_count
+    closing: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
+    for u, v in g.edges:
+        closing[max(u, v)].append((u, v))
+    coloring = [0] * vertex_count
+    total = 0
+
+    def extend(t: int, partial: int) -> None:
+        nonlocal total
+        if t == vertex_count:
+            total += partial
+            return
+        for c, f in kappas[t]:
+            coloring[t] = c
+            term = partial * f
+            for u, v in closing[t]:
+                w = scaled_weights[coloring[u]][coloring[v]]
+                if w == 0:
+                    break
+                term *= w
+            else:
+                extend(t + 1, term)
+
+    extend(0, 1)
+    return Fraction(total, denominator)
 
 
 def quadratic_form_cumulant(
@@ -456,14 +485,16 @@ def quadratic_form_cumulant(
     if route == "partition":
         total = Fraction(0)
         for p in enumerate_nc(2 * n, cap=cap):
-            if not is_connected(build_graph(p)):
-                continue
-            total += _colored_sum(p, specs, weights)
+            g = build_graph(p)
+            if is_connected(g):
+                total += _colored_sum(g, specs, weights)
         return total
     if route == "graph":
         total = Fraction(0)
         for rep, members in enumerate_oriented_cacti(n, cap=cap).values():
-            total += 2**rep.f_c * _colored_sum(members[0], specs, weights)
+            total += 2**rep.f_c * _colored_sum(
+                build_graph(members[0]), specs, weights
+            )
         return total
     raise ValueError(f"route must be 'partition' or 'graph', got {route!r}")
 

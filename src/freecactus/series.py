@@ -152,6 +152,10 @@ class TruncatedSeries:
         if other is None:
             return NotImplemented
         a, b, n = self._aligned(other)
+        # Loop over the sparser operand, so scalar and monomial factors cost
+        # O(n) on either side.
+        if sum(1 for c in b.coeffs if c) < sum(1 for c in a.coeffs if c):
+            a, b = b, a
         out = [Fraction(0)] * (n + 1)
         for i, x in enumerate(a.coeffs):
             if x == 0:

@@ -180,3 +180,20 @@ def word_moment_literal(kappa_of, colors):
             term *= kappa_of(colors[block[0] - 1], len(block))
         total += term
     return total
+
+
+def colored_sum(nv, edges, sizes, specs, weights):
+    """Sum over all k^nv vertex colorings of a multigraph of the edge
+    weight product times the cumulant of each vertex's spec at its size,
+    one Fraction product per coloring.  ``weights`` is a k x k nested
+    sequence, ``sizes[i]`` the block size of vertex i."""
+    k = len(weights)
+    total = Fraction(0)
+    for coloring in itertools.product(range(k), repeat=nv):
+        term = Fraction(1)
+        for u, v in edges:
+            term *= weights[coloring[u]][coloring[v]]
+        for i in range(nv):
+            term *= specs[coloring[i]].kappa(sizes[i])
+        total += term
+    return total

@@ -21,6 +21,7 @@ from freecactus import (
 from freecactus.cactus import (
     BlockMultigraph,
     OrientedCactus,
+    _outercycle,
     bipartition,
     build_graph,
     canonical_outercycle,
@@ -223,6 +224,8 @@ def test_outercycle_small_cases():
     assert edge.bipartition == ((0,), (1,))
     with pytest.raises(ValueError):
         canonical_outercycle(Partition.singletons(4))
+    with pytest.raises(ValueError):
+        canonical_outercycle(Partition.whole(3))
 
 
 def test_outercycle_json_schema():
@@ -275,6 +278,42 @@ def test_signature_rebuilds_the_graph_shape(n):
         assert shape(rebuilt, c.degrees) == shape(g.edges, g.vertex_degrees)
         loops = sum(1 for u, v in g.edges if u == v)
         assert sum(1 for u, v in rebuilt if u == v) == loops
+
+
+def first_visit_order(p):
+    """Block indices of p in the order the outercycle first reaches them."""
+    succ = {}
+    for block in p.blocks:
+        for a, b in zip(block, block[1:] + block[:1]):
+            succ[a] = b
+    order = []
+    x = 1
+    while True:
+        if p.block_index_of(x) not in order:
+            order.append(p.block_index_of(x))
+        x = succ[x + 1 if x % 2 else x - 1]
+        if x == 1:
+            return order
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_outercycle_walk_agrees_with_the_graph_code(n):
+    for p in enumerate_nc(2 * n):
+        g = build_graph(p)
+        c = _outercycle(p)
+        assert (c is None) == (not is_connected(g))
+        if c is None:
+            continue
+        order = first_visit_order(p)
+        new_of_old = {v: i for i, v in enumerate(order)}
+        assert c.degrees == tuple(g.vertex_degrees[v] for v in order)
+        parts = bipartition(g, root=p.block_index_of(1))
+        if parts is None:
+            assert c.bipartition is None
+        else:
+            assert c.bipartition == tuple(
+                tuple(sorted(new_of_old[v] for v in side)) for side in parts
+            )
 
 
 # --------------------------------------------------- enumerate_oriented_cacti

@@ -4,6 +4,7 @@ route agreement flags, exit codes, and determinism under a fixed seed.
 Everything runs in-process through main() so coverage tools see it; one
 subprocess test at the bottom proves the installed entry point works."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -121,6 +122,27 @@ def test_enumerate_cacti_schema(capsys):
         assert len(record["members"]) == record["class_size"]
     doubled = [r for r in records if r["signature"] == [[0, 0], [1, 1]]]
     assert len(doubled) == 1 and doubled[0]["class_size"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("--n", "4"),
+            "3151d6eb5e93adad64eae28e4e413b5deb02d90b4d3cc9473bc12a9489b38b49",
+        ),
+        (
+            ("--n", "4", "--bipartite", "--format", "table"),
+            "df0d8d677b5aeeff821f84c83df6d174d22eb0f9e86ff5593be04806defca03d",
+        ),
+    ],
+)
+def test_enumerate_cacti_output_is_frozen(capsys, argv, digest):
+    # SHA-256 of the stdout the graph-based classification printed: class
+    # order, representatives, members and bipartitions are all pinned.
+    code, out, _err = run_cli(capsys, "enumerate", "cacti", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # --------------------------------------------------------------- cumulants

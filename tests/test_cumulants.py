@@ -41,7 +41,12 @@ from freecactus import (
     quadratic_form_cumulant,
     semicircular_anticommutator,
 )
-from freecactus.cumulants import oracle_quadratic_moments, random_explicit_spec
+from freecactus.cactus import build_graph, enumerate_oriented_cacti
+from freecactus.cumulants import (
+    _colored_sum,
+    oracle_quadratic_moments,
+    random_explicit_spec,
+)
 
 SEED = 1729
 
@@ -478,6 +483,34 @@ def test_quadratic_weight_scaling_is_degree_n():
         assert quadratic_form_cumulant(specs, scaled, n) == t**n * (
             quadratic_form_cumulant(specs, weights, n)
         )
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_colored_sum_matches_the_brute_force_sum(k):
+    """The depth-first colored sum against one product per coloring, on
+    every class representative with n <= 4.  Weights include zeros, and
+    the specs have zero cumulants at some orders, so both prunings run."""
+    rng = random.Random(SEED + 14 + k)
+    zero_spec = CumulantSpec.explicit([1, 0, Fraction(-2, 3), 0, 3])
+    specs = (zero_spec,) + tuple(random_explicit_spec(rng, 5) for _ in range(k - 1))
+    with_zeros = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            if (i + j) % 2:
+                with_zeros[i][j] = with_zeros[j][i] = Fraction(i + j + 1, 2)
+    weight_sets = [
+        random_weight_matrix(rng, k),
+        WeightMatrix(tuple(tuple(r) for r in with_zeros)),
+        WeightMatrix(tuple((Fraction(1),) * k for _ in range(k))),
+    ]
+    for weights in weight_sets:
+        for n in range(1, 5):
+            for _rep, members in enumerate_oriented_cacti(n).values():
+                g = build_graph(members[0])
+                want = bruteforce.colored_sum(
+                    g.vertex_count, g.edges, g.vertex_degrees, specs, weights.entries
+                )
+                assert _colored_sum(g, specs, weights) == want
 
 
 def test_quadratic_argument_validation():

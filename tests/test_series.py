@@ -137,6 +137,35 @@ def test_multiplication_is_truncated_convolution():
     assert (2 * f).coeffs == (2, 4, 6, 0)
 
 
+def test_scalar_and_monomial_products_equal_the_dense_product():
+    order = 80
+    dense = series([Fraction(i * i - 7, i + 2) for i in range(order + 1)])
+    x = TruncatedSeries.identity(order)
+    mono = series([0] * 5 + [Fraction(-3, 7)], order=order)
+
+    def as_series(value):
+        if isinstance(value, TruncatedSeries):
+            return value
+        return TruncatedSeries.constant(value, order)
+
+    for left, right in (
+        (4, dense),
+        (dense, 4),
+        (Fraction(2, 3), dense),
+        (dense, x),
+        (x, dense),
+        (dense, mono),
+        (mono, dense),
+        (mono, x),
+    ):
+        a, b = as_series(left), as_series(right)
+        want = tuple(
+            sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(order + 1)
+        )
+        assert (left * right).coeffs == want
+
+
 def test_power():
     x = TruncatedSeries.identity(4)
     assert ((1 + x) ** 3).coeffs == (1, 3, 3, 1, 0)
