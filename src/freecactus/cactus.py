@@ -15,8 +15,10 @@ signature enumerates oriented cacti without a separate graph generator.
 The same walk decides connectivity (it reaches every block exactly when
 the graph is connected) and bipartiteness (colors alternating along it
 never clash), so classifying a partition is one pass over plain lists.
-``build_graph``, ``is_connected`` and ``bipartition`` remain as the
-independent graph-side reference for the self-checks and the tests.
+``outercycle`` is the only classifier the cumulant routes use: each of
+them evaluates the ``OrientedCactus`` it returns.  ``build_graph``,
+``is_connected``, ``bipartition`` and ``validate_cactus`` are the
+independent graph-side reference for the self-checks and the tests only.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from freecactus.partitions import Partition, enumerate_nc
+from freecactus.partitions import Partition, enumerate_nc, union_find_roots
 
 Signature = tuple[tuple[int, int], ...]
 
@@ -122,31 +124,19 @@ def build_graph(p: Partition) -> BlockMultigraph:
 
 
 def is_connected(g: BlockMultigraph) -> bool:
-    parent = list(range(g.vertex_count))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in g.edges:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in range(g.vertex_count)}) == 1
+    return len(set(union_find_roots(g.vertex_count, g.edges))) == 1
 
 
-def bipartition(
-    g: BlockMultigraph, root: int = 0
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Two-color g from the root by breadth-first search.
+def bipartition(g: BlockMultigraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Two-color g from vertex 0, the block of 1, by graph search.
 
-    Returns (V', V'') with the root in V', or None when some cycle is odd
+    Returns (V', V'') with vertex 0 in V', or None when some cycle is odd
     (a loop counts as an odd cycle).  The graph must be connected.
     """
     if not is_connected(g):
         raise ValueError("bipartition needs a connected graph")
-    color = {root: 0}
-    queue = [root]
+    color = {0: 0}
+    queue = [0]
     adjacency: dict[int, list[int]] = {v: [] for v in range(g.vertex_count)}
     for u, v in g.edges:
         adjacency[u].append(v)
@@ -283,7 +273,7 @@ def _count_cycles_exhaustively(g: BlockMultigraph, edge_ids: list[int]) -> int:
     return total
 
 
-def _outercycle(p: Partition) -> OrientedCactus | None:
+def outercycle(p: Partition) -> OrientedCactus | None:
     """Walk the outercycle of p's block multigraph once, on plain lists.
 
     Returns None when the walk misses a block.  The orbit of element 1
@@ -386,7 +376,7 @@ def canonical_outercycle(p: Partition) -> OrientedCactus:
     """
     if p.ground_size % 2:
         raise ValueError("block multigraphs need an even ground set")
-    cactus = _outercycle(p)
+    cactus = outercycle(p)
     if cactus is None:
         assert not is_connected(build_graph(p)), (
             "outercycle must cover every edge and vertex of a connected graph"
@@ -418,7 +408,7 @@ def enumerate_oriented_cacti(
         raise ValueError("n must be positive")
     classes: dict[Signature, tuple[OrientedCactus, list[Partition]]] = {}
     for p in enumerate_nc(2 * n, cap=cap):
-        cactus = _outercycle(p)
+        cactus = outercycle(p)
         if cactus is None:
             continue
         if bipartite_only and cactus.bipartition is None:

@@ -322,7 +322,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    summary = run_suite(args.suite, args.seed, args.cap, args.oracle_cap)
+    summary = run_suite(args.suite, args.seed)
     if args.format == "json":
         print(json.dumps(summary))
     else:
@@ -339,13 +339,14 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--format",
         choices=("json", "table"),
         default="json",
         help="output format (default json)",
     )
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument(
         "--cap",
         type=_positive_int,
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     cum.set_defaults(func=cmd_cumulants)
 
     ser = sub.add_parser(
-        "series", parents=[common], help="counting series and their identities"
+        "series", parents=[output], help="counting series and their identities"
     )
     ser.add_argument("kind", choices=("counts", "check", "minverse", "cauchy"))
     ser.add_argument(
@@ -429,15 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     ser.set_defaults(func=cmd_series)
 
     ver = sub.add_parser(
-        "verify", parents=[common], help="run the self-verification suites"
+        "verify", parents=[output], help="run the self-verification suites"
     )
     ver.add_argument("--suite", choices=("all", *SUITES), default="all")
-    ver.add_argument(
-        "--oracle-cap",
-        type=_positive_int,
-        default=None,
-        help="oracle order cap override",
-    )
     ver.add_argument(
         "--seed", type=int, default=1729, help="seed for randomized verification"
     )

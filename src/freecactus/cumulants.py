@@ -6,7 +6,10 @@ float.  The central objects are distribution specs (semicircular, free
 Poisson, or an explicit cumulant list) and the formulas expressing the
 cumulants of ab + ba, of as + sa with s semicircular, and of a general
 quadratic form sum w_ij a_i a_j, as sums over the partition and cactus
-structures of the companion modules.
+structures of the companion modules.  Every cactus route, whether it sums
+over partitions or over oriented cactus classes, evaluates the
+``OrientedCactus`` of one outercycle walk: its degrees, its bipartition
+and its edges.
 
 A brute-force oracle lives here too.  It knows nothing about those
 formulas: it expands powers of the expression into words, computes each
@@ -23,16 +26,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from freecactus import _core_py
 from freecactus.cactus import (
-    BlockMultigraph,
-    bipartition,
-    build_graph,
+    OrientedCactus,
+    canonical_outercycle,
     enumerate_oriented_cacti,
     g_exponent,
-    is_connected,
+    outercycle,
 )
 from freecactus.errors import ResourceCapError
 from freecactus.partitions import (
@@ -109,6 +111,16 @@ class CumulantSpec:
         if n <= len(self.values):
             return self.values[n - 1]
         return Fraction(0)
+
+    def kappa_product(self, sizes: Iterable[int]) -> Fraction:
+        """The product of kappa_s over ``sizes``, stopping at the first zero
+        factor; the empty product is 1."""
+        total = Fraction(1)
+        for s in sizes:
+            total *= self.kappa(s)
+            if not total:
+                break
+        return total
 
     def scaled(self, t) -> "CumulantSpec":
         """The spec of t times the variable: kappa_n picks up t^n.
@@ -274,32 +286,21 @@ def product_cumulant(
     to b."""
     total = Fraction(0)
     for tau in enumerate_nc(n, cap=cap):
-        left = Fraction(1)
-        for block in tau.blocks:
-            left *= a.kappa(len(block))
-        if left == 0:
-            continue
-        right = Fraction(1)
-        for block in kreweras(tau).blocks:
-            right *= b.kappa(len(block))
-        total += left * right
+        left = a.kappa_product(map(len, tau.blocks))
+        if left:
+            total += left * b.kappa_product(map(len, kreweras(tau).blocks))
     return total
 
 
-def _two_sided(
-    a: CumulantSpec, b: CumulantSpec, sizes_a: Sequence[int], sizes_b: Sequence[int]
-) -> Fraction:
-    """The cumulants of a on one side of a bipartition times those of b on
-    the other, plus the same with a and b exchanged."""
-    direct = Fraction(1)
-    swapped = Fraction(1)
-    for s in sizes_a:
-        direct *= a.kappa(s)
-        swapped *= b.kappa(s)
-    for s in sizes_b:
-        direct *= b.kappa(s)
-        swapped *= a.kappa(s)
-    return direct + swapped
+def _two_sided(a: CumulantSpec, b: CumulantSpec, cactus: OrientedCactus) -> Fraction:
+    """The cumulants of a at the degrees of one side of the cactus's
+    bipartition times those of b on the other, plus the same with a and b
+    exchanged."""
+    side, other = ([cactus.degrees[v] for v in part] for part in cactus.bipartition)
+    return (
+        a.kappa_product(side) * b.kappa_product(other)
+        + b.kappa_product(side) * a.kappa_product(other)
+    )
 
 
 def anticommutator_cumulant(
@@ -309,21 +310,17 @@ def anticommutator_cumulant(
 
     Iterates the odd-separating partitions sigma of [2n]; pi is the
     Kreweras complement of sigma, whose block graph is then connected and
-    bipartite.  The breadth-first bipartition rooted at the block of 1
-    splits pi into (pi', pi''), and each sigma contributes the a/b block
-    product plus the same with a and b exchanged.
+    bipartite.  The outercycle walk of pi two-colors its blocks into
+    (pi', pi''), and each sigma contributes the a/b block product plus the
+    same with a and b exchanged.
     """
     total = Fraction(0)
     for sigma in enumerate_y(2 * n, cap=cap):
-        pi = kreweras(sigma)
-        parts = bipartition(build_graph(pi))
-        assert parts is not None, "complement of an odd-separating partition"
-        total += _two_sided(
-            a,
-            b,
-            [len(pi.blocks[v]) for v in parts[0]],
-            [len(pi.blocks[v]) for v in parts[1]],
+        cactus = canonical_outercycle(kreweras(sigma))
+        assert cactus.bipartition is not None, (
+            "complement of an odd-separating partition"
         )
+        total += _two_sided(a, b, cactus)
     return total
 
 
@@ -336,13 +333,7 @@ def anticommutator_cumulant_graphwise(
     total = Fraction(0)
     classes = enumerate_oriented_cacti(n, bipartite_only=True, cap=cap)
     for rep, _members in classes.values():
-        side_a, side_b = rep.bipartition
-        total += 2**rep.f_c * _two_sided(
-            a,
-            b,
-            [rep.degrees[v] for v in side_a],
-            [rep.degrees[v] for v in side_b],
-        )
+        total += 2**rep.f_c * _two_sided(a, b, rep)
     return total
 
 
@@ -361,10 +352,7 @@ def semicircular_anticommutator(
         return Fraction(0)
     total = Fraction(0)
     for rep, _members in enumerate_oriented_cacti(m // 2, cap=cap).values():
-        term = Fraction(2) ** (g_exponent(rep) + 1)
-        for d in rep.degrees:
-            term *= a.kappa(d)
-        total += term
+        total += 2 ** (g_exponent(rep) + 1) * a.kappa_product(rep.degrees)
     return total
 
 
@@ -391,29 +379,25 @@ def even_anticommutator(
     total = Fraction(0)
     inner_cache = list(enumerate_nc(n, cap=cap))
     for p1 in inner_cache:
-        left = Fraction(1)
-        for block in p1.blocks:
-            left *= a.kappa(2 * len(block))
-        if left == 0:
+        left = a.kappa_product(2 * len(block) for block in p1.blocks)
+        if not left:
             continue
         bound = kreweras(p1)
         inner = Fraction(0)
         for p2 in inner_cache:
-            if not refines(p2, bound):
-                continue
-            right = Fraction(1)
-            for block in p2.blocks:
-                right *= b.kappa(2 * len(block))
-            inner += right
+            if refines(p2, bound):
+                inner += b.kappa_product(2 * len(block) for block in p2.blocks)
         total += left * inner
     return 2 * total
 
 
 def _colored_sum(
-    g: BlockMultigraph, specs: Sequence[CumulantSpec], weights: WeightMatrix
+    cactus: OrientedCactus, specs: Sequence[CumulantSpec], weights: WeightMatrix
 ) -> Fraction:
-    """Sum over all vertex colorings of one connected block graph: the edge
-    weight product times the per-block cumulants of the colored specs.
+    """Sum over all vertex colorings of one cactus: the edge weight product
+    times the per-vertex cumulants of the colored specs at the vertex
+    degrees.  The weights are symmetric, so the direction in which
+    ``renumbered_edges`` reports an edge does not matter.
 
     Colors are chosen depth first, vertex by vertex, and the partial
     product is carried down: vertex t brings its cumulant and the weight of
@@ -427,18 +411,19 @@ def _colored_sum(
         [w.numerator * (weight_den // w.denominator) for w in row]
         for row in weights.entries
     ]
-    denominator = weight_den ** len(g.edges)
+    edges = cactus.renumbered_edges()
+    denominator = weight_den ** len(edges)
     kappas = []
-    for size in g.vertex_degrees:
+    for size in cactus.degrees:
         row = [spec.kappa(size) for spec in specs]
         den = math.lcm(*(f.denominator for f in row))
         denominator *= den
         kappas.append(
             [(c, f.numerator * (den // f.denominator)) for c, f in enumerate(row) if f]
         )
-    vertex_count = g.vertex_count
+    vertex_count = cactus.vertex_count
     closing: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
-    for u, v in g.edges:
+    for u, v in edges:
         closing[max(u, v)].append((u, v))
     coloring = [0] * vertex_count
     total = 0
@@ -473,10 +458,11 @@ def quadratic_form_cumulant(
     """kappa_n of the quadratic form sum of w_ij a_i a_j over free a_1..a_k.
 
     The partition route sums over connected non-crossing partitions of
-    [2n] and all block colorings.  The graph route evaluates the same sum
-    grouped by oriented cactus class: the colored sum of one class
-    representative times the 2^f_C class size, which is legitimate because
-    the colored sum only depends on the class.  Both routes agree exactly.
+    [2n] and all block colorings, each evaluated on the cactus of its
+    outercycle walk.  The graph route evaluates the same sum grouped by
+    oriented cactus class: the colored sum of the class representative
+    times the 2^f_C class size, which is legitimate because the colored
+    sum only depends on the class.  Both routes agree exactly.
     """
     if len(specs) != weights.k:
         raise ValueError(
@@ -485,16 +471,14 @@ def quadratic_form_cumulant(
     if route == "partition":
         total = Fraction(0)
         for p in enumerate_nc(2 * n, cap=cap):
-            g = build_graph(p)
-            if is_connected(g):
-                total += _colored_sum(g, specs, weights)
+            cactus = outercycle(p)
+            if cactus is not None:
+                total += _colored_sum(cactus, specs, weights)
         return total
     if route == "graph":
         total = Fraction(0)
-        for rep, members in enumerate_oriented_cacti(n, cap=cap).values():
-            total += 2**rep.f_c * _colored_sum(
-                build_graph(members[0]), specs, weights
-            )
+        for rep, _members in enumerate_oriented_cacti(n, cap=cap).values():
+            total += 2**rep.f_c * _colored_sum(rep, specs, weights)
         return total
     raise ValueError(f"route must be 'partition' or 'graph', got {route!r}")
 

@@ -343,6 +343,21 @@ def kreweras(p: Partition, direction: str = "forward") -> Partition:
     return Partition._unchecked(blocks, m)
 
 
+def union_find_roots(size: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Union-find over 0..size-1: merge each pair, return every element's root."""
+    parent = list(range(size))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return [find(a) for a in range(size)]
+
+
 def join(p: Partition, q: Partition) -> Partition:
     """Join (coarsest common refinement bound) in the all-partitions lattice.
 
@@ -356,26 +371,11 @@ def join(p: Partition, q: Partition) -> Partition:
             f"join needs equal ground sets, got {p.ground_size} and {q.ground_size}"
         )
     m = p.ground_size
-    parent = list(range(m + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for part in (p, q):
-        for block in part.blocks:
-            for a, b in zip(block, block[1:]):
-                union(a, b)
+    chains = (pair for block in p.blocks + q.blocks for pair in zip(block, block[1:]))
+    roots = union_find_roots(m + 1, chains)
     groups: dict[int, list[int]] = {}
     for x in range(1, m + 1):
-        groups.setdefault(find(x), []).append(x)
+        groups.setdefault(roots[x], []).append(x)
     blocks = tuple(sorted((tuple(g) for g in groups.values()), key=lambda b: b[0]))
     return Partition._unchecked(blocks, m)
 

@@ -1,19 +1,20 @@
 """Self-verification suites behind ``freecactus verify``.
 
 ``SUITES`` maps each suite to its checks in run order; a check is named
-suite.function.  A check takes the run's ``Settings`` and returns what it
-covered, or fails through ``require``, which ``python -O`` does not strip
-as it does ``assert``.  Only the formulas suite draws from the seeded
-generator.  The interval DP is the reference for every paper formula and
-series identity; the two routes_agree checks tie the DP itself to the
-partition route, the graph route and the word-expansion oracle.
+suite.function.  A check takes the run's seeded ``random.Random`` and
+returns what it covered, or fails through ``require``, which ``python -O``
+does not strip as it does ``assert``.  Only the formulas suite draws from
+the generator.  Every check has fixed sizes inside the default caps.  The
+interval DP is the reference for every paper formula and series identity;
+the two routes_agree checks tie the DP itself to the partition route, the
+graph route and the word-expansion oracle, and the series checks tie it to
+the counting recursion.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import NamedTuple
 
 from freecactus import cactus as cactus_mod
 from freecactus.cumulants import (
@@ -32,7 +33,6 @@ from freecactus.cumulants import (
     semicircular_anticommutator,
 )
 from freecactus.dp import dp_cumulants
-from freecactus.errors import ResourceCapError
 from freecactus.partitions import (
     catalan,
     classify,
@@ -47,16 +47,11 @@ from freecactus.series import (
     TruncatedSeries,
     cauchy_polynomial_residual,
     check_functional_equations,
+    free_poisson_pair_cumulants,
     minverse_closed_form,
     r_m_transfer,
     y_series,
 )
-
-
-class Settings(NamedTuple):
-    rng: random.Random
-    cap: int | None
-    oracle_cap: int | None
 
 
 def require(condition, detail) -> None:
@@ -65,52 +60,52 @@ def require(condition, detail) -> None:
         raise AssertionError(detail)
 
 
-def roundtrip_and_size(s: Settings) -> str:
+def roundtrip_and_size(rng: random.Random) -> str:
     for m in range(1, 7):
-        for p in enumerate_nc(m, cap=s.cap):
+        for p in enumerate_nc(m):
             k = kreweras(p)
             require(kreweras(k, direction="inverse") == p, p)
             require(len(k) == m + 1 - len(p), p)
     return "m <= 6 exhaustive"
 
 
-def parity_swap(s: Settings) -> str:
+def parity_swap(rng: random.Random) -> str:
     for n in (1, 2):
-        for p in enumerate_nc(2 * n, cap=s.cap):
+        for p in enumerate_nc(2 * n):
             require(classify(p).even == classify(kreweras(p)).parity_preserving, p)
     return "even ground sets 2 and 4"
 
 
-def complement_of_family(s: Settings) -> str:
+def complement_of_family(rng: random.Random) -> str:
     for n in range(1, 5):
-        from_y = {kreweras(q).to_text() for q in enumerate_y(2 * n, cap=s.cap)}
-        family = filter(x_membership, enumerate_nc(2 * n, cap=s.cap))
+        from_y = {kreweras(q).to_text() for q in enumerate_y(2 * n)}
+        family = filter(x_membership, enumerate_nc(2 * n))
         direct = {p.to_text() for p in family}
         require(from_y == direct, f"2n = {2 * n}")
     return "complement image matches the graph test, n <= 4"
 
 
-def connectivity_is_join(s: Settings) -> str:
+def connectivity_is_join(rng: random.Random) -> str:
     for n in range(1, 5):
-        for p in enumerate_nc(2 * n, cap=s.cap):
+        for p in enumerate_nc(2 * n):
             g = cactus_mod.build_graph(p)
             joined = join(p, interval_pairing(n))
             require(cactus_mod.is_connected(g) == (len(joined) == 1), p)
     return "n <= 4"
 
 
-def connected_validates(s: Settings) -> str:
+def connected_validates(rng: random.Random) -> str:
     for n in range(1, 5):
-        for p in enumerate_nc(2 * n, cap=s.cap):
+        for p in enumerate_nc(2 * n):
             g = cactus_mod.build_graph(p)
             if cactus_mod.is_connected(g):
                 require(cactus_mod.validate_cactus(g).is_cactus, p)
     return "every connected block graph is a cactus, n <= 4"
 
 
-def euler_relation(s: Settings) -> str:
+def euler_relation(rng: random.Random) -> str:
     for n in range(1, 5):
-        for p in enumerate_nc(2 * n, cap=s.cap):
+        for p in enumerate_nc(2 * n):
             g = cactus_mod.build_graph(p)
             if not cactus_mod.is_connected(g):
                 continue
@@ -119,73 +114,73 @@ def euler_relation(s: Settings) -> str:
     return "simple cycles = inverse complement blocks - n, n <= 4"
 
 
-def class_sizes(s: Settings) -> str:
+def class_sizes(rng: random.Random) -> str:
     for n in range(1, 5):
-        classes = cactus_mod.enumerate_oriented_cacti(n, cap=s.cap)
+        classes = cactus_mod.enumerate_oriented_cacti(n)
         total = 0
         for rep, members in classes.values():
             require(len(members) == 2**rep.f_c, rep.signature)
             total += len(members)
-        graphs = (cactus_mod.build_graph(p) for p in enumerate_nc(2 * n, cap=s.cap))
+        graphs = (cactus_mod.build_graph(p) for p in enumerate_nc(2 * n))
         require(total == sum(map(cactus_mod.is_connected, graphs)), f"n = {n}")
         trees = sum(1 for rep, _m in classes.values() if not any(rep.edge_rigidity))
         require(trees == catalan(n), f"tree classes at n = {n}")
     return "sizes 2^fC, union complete, trees Catalan, n <= 4"
 
 
-def routes_agree(s: Settings) -> str:
+def routes_agree(rng: random.Random) -> str:
     for _ in range(5):
-        a = random_explicit_spec(s.rng, 4)
-        b = random_explicit_spec(s.rng, 4)
-        from_oracle = oracle_anticommutator_cumulants(a, b, 3, cap=s.oracle_cap)
-        from_dp = dp_cumulants((a, b), ANTICOMMUTATOR_WEIGHTS, 3, cap=s.cap)
+        a = random_explicit_spec(rng, 4)
+        b = random_explicit_spec(rng, 4)
+        from_oracle = oracle_anticommutator_cumulants(a, b, 3)
+        from_dp = dp_cumulants((a, b), ANTICOMMUTATOR_WEIGHTS, 3)
         for n in (1, 2, 3):
-            direct = anticommutator_cumulant(a, b, n, cap=s.cap)
-            graph = anticommutator_cumulant_graphwise(a, b, n, cap=s.cap)
+            direct = anticommutator_cumulant(a, b, n)
+            graph = anticommutator_cumulant_graphwise(a, b, n)
             agree = from_dp[n - 1] == direct == graph == from_oracle[n - 1]
             require(agree, (a.name, b.name, n))
     return "5 random pairs, n <= 3, dp, partition, graph and oracle"
 
 
-def quadratic_routes_agree(s: Settings) -> str:
+def quadratic_routes_agree(rng: random.Random) -> str:
     for k in (2, 3):
-        specs = tuple(random_explicit_spec(s.rng, 4) for _ in range(k))
+        specs = tuple(random_explicit_spec(rng, 4) for _ in range(k))
         rows = [[Fraction(0)] * k for _ in range(k)]
         for i in range(k):
             for j in range(i, k):
-                w = Fraction(s.rng.randint(-2, 2), s.rng.choice((1, 2)))
+                w = Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
                 rows[i][j] = rows[j][i] = w
         weights = WeightMatrix(tuple(tuple(r) for r in rows))
-        from_oracle = oracle_quadratic_cumulants(specs, weights, 3, cap=s.oracle_cap)
-        from_dp = dp_cumulants(specs, weights.entries, 3, cap=s.cap)
+        from_oracle = oracle_quadratic_cumulants(specs, weights, 3)
+        from_dp = dp_cumulants(specs, weights.entries, 3)
         for n in (1, 2, 3):
-            p = quadratic_form_cumulant(specs, weights, n, route="partition", cap=s.cap)
-            g = quadratic_form_cumulant(specs, weights, n, route="graph", cap=s.cap)
+            p = quadratic_form_cumulant(specs, weights, n, route="partition")
+            g = quadratic_form_cumulant(specs, weights, n, route="graph")
             require(from_dp[n - 1] == p == g == from_oracle[n - 1], (k, n))
     return "k = 2 and 3, n <= 3, dp, both paper routes and oracle"
 
 
-def special_cases(s: Settings) -> str:
+def special_cases(rng: random.Random) -> str:
     # The even pair takes kappa_2, kappa_4, .. from a random spec; odd orders are 0.
-    drawn = random_explicit_spec(s.rng, 4).values
+    drawn = random_explicit_spec(rng, 4).values
     even = CumulantSpec.explicit([v for x in drawn for v in (0, x)])
-    partner = CumulantSpec.explicit([s.rng.randint(-3, 3) if i % 2 else 0 for i in range(8)])
-    from_dp = dp_cumulants((even, partner), ANTICOMMUTATOR_WEIGHTS, 6, cap=s.cap)
+    partner = CumulantSpec.explicit([rng.randint(-3, 3) if i % 2 else 0 for i in range(8)])
+    from_dp = dp_cumulants((even, partner), ANTICOMMUTATOR_WEIGHTS, 6)
     for m in range(1, 7):
         require(even_anticommutator(even, partner, m) == from_dp[m - 1], ("even", m))
-    pair = (random_explicit_spec(s.rng, 5), CumulantSpec.semicircular())
-    from_dp = dp_cumulants(pair, ANTICOMMUTATOR_WEIGHTS, 6, cap=s.cap)
+    pair = (random_explicit_spec(rng, 5), CumulantSpec.semicircular())
+    from_dp = dp_cumulants(pair, ANTICOMMUTATOR_WEIGHTS, 6)
     for m in range(1, 7):
-        kappa = semicircular_anticommutator(pair[0], m, cap=s.cap)
+        kappa = semicircular_anticommutator(pair[0], m)
         require(kappa == from_dp[m - 1], ("semicircular", m))
     return "even formula and semicircular formula vs dp, m <= 6"
 
 
-def rate_polynomial(s: Settings) -> str:
-    levels = [free_poisson_anticommutator_polynomial(n, s.cap) for n in range(1, 5)]
+def rate_polynomial(rng: random.Random) -> str:
+    levels = [free_poisson_anticommutator_polynomial(n) for n in range(1, 5)]
     for lam in (Fraction(1), Fraction(2), Fraction(5, 2)):
         spec = CumulantSpec.free_poisson(lam)
-        from_dp = dp_cumulants((spec, spec), ANTICOMMUTATOR_WEIGHTS, 4, cap=s.cap)
+        from_dp = dp_cumulants((spec, spec), ANTICOMMUTATOR_WEIGHTS, 4)
         for n, coeffs in enumerate(levels, start=1):
             value = sum(d * lam ** (n + 1 - r) for r, d in enumerate(coeffs))
             require(value == from_dp[n - 1], (n, lam))
@@ -198,13 +193,13 @@ def _poisson_pair(n_max: int) -> list[Fraction]:
     return dp_cumulants((one, one), ANTICOMMUTATOR_WEIGHTS, n_max)
 
 
-def functional_equations(s: Settings) -> str:
+def functional_equations(rng: random.Random) -> str:
     report = check_functional_equations(*y_series(10))
     require(report.all_pass, report.failing())
     return "four residuals vanish at order 10"
 
 
-def closed_form_inverse(s: Settings) -> str:
+def closed_form_inverse(rng: random.Random) -> str:
     rm = r_m_transfer(_poisson_pair(9), 9)
     inv = minverse_closed_form(9)
     require(inv == rm.M.comp_inverse(), "closed form differs from the inverse of M")
@@ -212,14 +207,16 @@ def closed_form_inverse(s: Settings) -> str:
     return "closed form inverts the dp moment series at order 9"
 
 
-def transfer_identity(s: Settings) -> str:
-    rm = r_m_transfer(_poisson_pair(8), 8)
-    inverse = rm.R.comp_inverse() / TruncatedSeries.from_coefficients([1, 1], 8)
-    require(rm.M.comp_inverse() == inverse, "M^-1(z) differs from R^-1(z) / (1 + z)")
-    return "dp moment and cumulant inverses agree at order 8"
+def transfer_identity(rng: random.Random) -> str:
+    # R from the counting recursion, M from the dp: the identity ties the two.
+    r = TruncatedSeries.from_coefficients([0, *free_poisson_pair_cumulants(8)], 8)
+    m = r_m_transfer(_poisson_pair(8), 8).M
+    inverse = r.comp_inverse() / TruncatedSeries.from_coefficients([1, 1], 8)
+    require(m.comp_inverse() == inverse, "M^-1(z) differs from R^-1(z) / (1 + z)")
+    return "recursion cumulants and dp moments agree at order 8"
 
 
-def cauchy_polynomial(s: Settings) -> str:
+def cauchy_polynomial(rng: random.Random) -> str:
     moments = moments_from_cumulants(CumulantSpec.explicit(_poisson_pair(8)), 8)
     residual = cauchy_polynomial_residual(8, moments)
     require(all(c == 0 for c in residual), [str(c) for c in residual])
@@ -234,22 +231,20 @@ SUITES = {
 }
 
 
-def _run_check(name: str, check, settings: Settings) -> dict:
+def _run_check(name: str, check, rng: random.Random) -> dict:
     try:
-        detail = check(settings)
+        detail = check(rng)
         return {"name": name, "pass": True, **({"detail": detail} if detail else {})}
-    except (AssertionError, ResourceCapError) as exc:
+    except AssertionError as exc:
         return {"name": name, "pass": False, "detail": str(exc) or "assertion failed"}
 
 
-def run_suite(suite: str = "all", seed: int = 1729, cap=None, oracle_cap=None) -> dict:
-    """Run one suite, or all in table order, and return the summary.  ``cap``
-    bounds the enumerations and the DP of the kreweras, cactus and formulas
-    suites, ``oracle_cap`` the oracle; a check they refuse fails with the
-    refusal as its detail, and the rest still run."""
-    settings = Settings(random.Random(seed), cap, oracle_cap)
+def run_suite(suite: str = "all", seed: int = 1729) -> dict:
+    """Run one suite, or all in table order, and return the summary; a
+    failing check records its detail and the rest still run."""
+    rng = random.Random(seed)
     results = [
-        _run_check(f"{name}.{check.__name__}", check, settings)
+        _run_check(f"{name}.{check.__name__}", check, rng)
         for name in (SUITES if suite == "all" else (suite,))
         for check in SUITES[name]
     ]

@@ -13,6 +13,7 @@ from freecactus import (
     ResourceCapError,
     catalan,
     enumerate_nc,
+    enumerate_y,
     interval_pairing,
     join,
     kreweras,
@@ -21,13 +22,13 @@ from freecactus import (
 from freecactus.cactus import (
     BlockMultigraph,
     OrientedCactus,
-    _outercycle,
     bipartition,
     build_graph,
     canonical_outercycle,
     enumerate_oriented_cacti,
     g_exponent,
     is_connected,
+    outercycle,
     validate_cactus,
 )
 
@@ -77,6 +78,14 @@ def test_degrees_equal_block_sizes_and_edge_count(n):
             by_endpoints[u] += 1
             by_endpoints[v] += 1
         assert tuple(by_endpoints) == g.vertex_degrees
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_is_connected_agrees_with_the_brute_force_component_count(n):
+    for p in enumerate_nc(2 * n):
+        g = build_graph(p)
+        components = bruteforce.component_count(g.vertex_count, g.edges)
+        assert is_connected(g) == (components == 1)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -300,19 +309,34 @@ def first_visit_order(p):
 def test_outercycle_walk_agrees_with_the_graph_code(n):
     for p in enumerate_nc(2 * n):
         g = build_graph(p)
-        c = _outercycle(p)
+        c = outercycle(p)
         assert (c is None) == (not is_connected(g))
         if c is None:
             continue
         order = first_visit_order(p)
         new_of_old = {v: i for i, v in enumerate(order)}
         assert c.degrees == tuple(g.vertex_degrees[v] for v in order)
-        parts = bipartition(g, root=p.block_index_of(1))
+        parts = bipartition(g)
         if parts is None:
             assert c.bipartition is None
         else:
             assert c.bipartition == tuple(
                 tuple(sorted(new_of_old[v] for v in side)) for side in parts
+            )
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_walk_on_complements_of_y_is_bipartite_with_the_graph_sides(n):
+    """The Y route reads the walk of K(sigma): it must two-color the
+    blocks into sides of the same degrees as the graph-side bipartition."""
+    for sigma in enumerate_y(2 * n):
+        pi = kreweras(sigma)
+        c = outercycle(pi)
+        assert c is not None and c.bipartition is not None
+        parts = bipartition(build_graph(pi))
+        for walk_side, graph_side in zip(c.bipartition, parts):
+            assert sorted(c.degrees[v] for v in walk_side) == sorted(
+                len(pi.blocks[v]) for v in graph_side
             )
 
 

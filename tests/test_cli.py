@@ -277,6 +277,82 @@ def test_cumulants_quadratic(capsys, tmp_path):
     assert [r["partition"] for r in records] == ["2", "10", "52"]
 
 
+PIN_A = "cumulants:[1,-2,1/3,3/2,-1,2/3]"
+PIN_B = "cumulants:[-1/2,1,2,-1/3,1,-2]"
+PIN_C = "cumulants:[2/3,0,-1,1/2,3]"
+PAPER_ROUTES = ("partition", "graph", "both")
+
+
+@pytest.mark.parametrize(
+    "target, inputs, weights, routes, kappas",
+    [
+        (
+            "anticommutator",
+            ("--a", PIN_A, "--b", PIN_B),
+            None,
+            PAPER_ROUTES,
+            ["-1", "-2", "44/3", "117/2", "-2003/9"],
+        ),
+        (
+            "quadratic",
+            ("--specs", PIN_A, PIN_B),
+            [["0", "3/2"], ["3/2", "-1"]],
+            PAPER_ROUTES,
+            ["-11/4", "-77/6", "241/2", "183661/288", "-2645779/288"],
+        ),
+        (
+            "quadratic",
+            ("--specs", PIN_A, PIN_B, PIN_C),
+            [["1", "0", "2"], ["0", "-1/2", "1/3"], ["2", "1/3", "0"]],
+            PAPER_ROUTES,
+            [
+                "59/72",
+                "-11591/324",
+                "2199787/5832",
+                "-329238005/157464",
+                "-18470889169/1889568",
+            ],
+        ),
+        (
+            "product",
+            ("--a", PIN_A, "--b", PIN_B),
+            None,
+            ("partition",),
+            ["-1/2", "1/2", "119/24", "195/32", "-677/32"],
+        ),
+        (
+            "semicircular-anticom",
+            ("--a", PIN_A),
+            None,
+            ("graph",),
+            ["0", "0", "0", "-143/3", "0", "2458/3", "0", "-11071", "0", "3621656/27"],
+        ),
+    ],
+    ids=["anticommutator", "quadratic-k2", "quadratic-k3", "product", "semicircular"],
+)
+def test_paper_route_stdout_is_pinned(capsys, tmp_path, target, inputs, weights, routes, kappas):
+    # Cactus routes up to n = 5 edges; the answers were printed by the
+    # graph-based classification, byte for byte.
+    if weights is not None:
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(weights))
+        inputs += ("--weights", str(path))
+    orders = f"1..{len(kappas)}"
+    for route in routes:
+        code, out, _err = run_cli(
+            capsys, "cumulants", target, *inputs, "--n", orders, "--route", route
+        )
+        assert code == 0
+        if route == "both":
+            records = [
+                {"n": n, "partition": k, "graph": k, "match": True}
+                for n, k in enumerate(kappas, start=1)
+            ]
+        else:
+            records = [{"n": n, "kappa": k} for n, k in enumerate(kappas, start=1)]
+        assert out == "".join(json.dumps(r) + "\n" for r in records)
+
+
 def test_cumulants_table_alignment(capsys):
     code, out, _err = run_cli(
         capsys,

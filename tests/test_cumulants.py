@@ -153,6 +153,32 @@ def test_parse_spec_errors():
         parse_spec("cumulants:1,2")
 
 
+def test_kappa_product_empty_and_zero_factor():
+    x = CumulantSpec.explicit([2, 0, Fraction(1, 3)])
+    assert x.kappa_product([]) == 1
+    assert x.kappa_product([1, 2, 3]) == 0
+    assert x.kappa_product([1, 4]) == 0  # zero beyond the list
+    assert CumulantSpec.semicircular().kappa_product([2, 1, 2]) == 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CumulantSpec.semicircular(),
+        CumulantSpec.free_poisson(Fraction(3, 2)),
+        CumulantSpec.explicit([1, Fraction(-2, 3), 0, 3, Fraction(1, 2)]),
+    ],
+    ids=lambda spec: spec.name,
+)
+def test_kappa_product_equals_the_plain_loop(spec):
+    for sizes in itertools.product(range(1, 7), repeat=3):
+        want = Fraction(1)
+        for s in sizes:
+            want *= spec.kappa(s)
+        assert spec.kappa_product(sizes) == want
+        assert spec.kappa_product(iter(sizes)) == want
+
+
 # ----------------------------------------------------------- WeightMatrix
 
 
@@ -505,12 +531,12 @@ def test_colored_sum_matches_the_brute_force_sum(k):
     ]
     for weights in weight_sets:
         for n in range(1, 5):
-            for _rep, members in enumerate_oriented_cacti(n).values():
+            for rep, members in enumerate_oriented_cacti(n).values():
                 g = build_graph(members[0])
                 want = bruteforce.colored_sum(
                     g.vertex_count, g.edges, g.vertex_degrees, specs, weights.entries
                 )
-                assert _colored_sum(g, specs, weights) == want
+                assert _colored_sum(rep, specs, weights) == want
 
 
 def test_quadratic_argument_validation():

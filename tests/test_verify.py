@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import freecactus
+from freecactus import verify
 from freecactus.cli import main
 from freecactus.verify import SUITES, run_suite
 
@@ -52,15 +53,36 @@ def test_check_names_and_order_are_pinned(suite):
     assert summary["failed"] == 0
 
 
-def test_cap_refusal_fails_one_check_and_the_rest_run(capsys):
-    # special_cases asks the dp for order 6, a ground set of 12.
-    code = main(["verify", "--cap", "10"])
-    summary = json.loads(capsys.readouterr().out)
-    assert code == 1
-    assert [c["name"] for c in summary["checks"]] == sum(PINNED.values(), [])
-    assert summary["failures"] == ["formulas.special_cases"]
-    (refused,) = [c for c in summary["checks"] if not c["pass"]]
-    assert refused["detail"].endswith("beyond the dp cap 10")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--cap", "10"],
+        ["verify", "--oracle-cap", "2"],
+        ["series", "counts", "--cap", "3"],
+    ],
+)
+def test_verify_and_series_take_no_cap(capsys, argv):
+    # The checks and the series have fixed or polynomial sizes; no cap applies.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_transfer_identity_catches_a_wrong_dp_cumulant(monkeypatch):
+    # R comes from the counting recursion and M from the dp, so one wrong
+    # dp cumulant breaks the identity.
+    dp_pair = verify._poisson_pair
+
+    def off_by_one(n_max):
+        kappas = dp_pair(n_max)
+        kappas[5] += 1
+        return kappas
+
+    monkeypatch.setattr(verify, "_poisson_pair", off_by_one)
+    summary = run_suite("series")
+    assert [c["name"] for c in summary["checks"]] == PINNED["series"]
+    assert "series.transfer_identity" in summary["failures"]
 
 
 FAILING_UNDER_O = """
