@@ -74,10 +74,6 @@ class OrientedCactus:
     degrees: tuple[int, ...]
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edge_rigidity)
-
-    @property
     def vertex_count(self) -> int:
         return len(self.degrees)
 

@@ -29,7 +29,7 @@ from freecactus.cumulants import (
     semicircular_anticommutator,
 )
 from freecactus.dp import ANTICOMMUTATOR_WEIGHTS, PRODUCT_WEIGHTS, dp_cumulants
-from freecactus.errors import ResourceCapError
+from freecactus.errors import ResourceCapError, check_cap
 from freecactus.partitions import (
     DEFAULT_ENUMERATION_CAP,
     catalan,
@@ -149,11 +149,7 @@ def cmd_count(args) -> int:
     elif args.kind == "levels":
         # Polynomial time, but still refused past the cap until a work budget
         # takes its place.
-        cap = DEFAULT_ENUMERATION_CAP if args.cap is None else args.cap
-        if args.m > cap:
-            raise ResourceCapError(
-                f"level counts for m={args.m} exceed the enumeration cap {cap}"
-            )
+        check_cap(args.m, args.cap, DEFAULT_ENUMERATION_CAP, f"count levels --m {args.m}")
         _emit_value(y_level_counts(args.m), args.format)
     elif args.kind == "nc":
         _emit_value(catalan(args.m), args.format)
@@ -197,25 +193,20 @@ def cmd_enumerate(args) -> int:
     )
     records = []
     for rep, members in classes.values():
-        obj = rep.to_json_obj()
-        obj["class_size"] = len(members)
-        obj["members"] = [p.to_text() for p in members]
-        records.append(obj)
-    if args.format == "json":
-        for record in records:
-            print(json.dumps(record))
-    else:
-        rows = [
-            {
-                "signature": " ".join(f"{v},{e}" for v, e in r["signature"]),
-                "fC": r["fC"],
-                "bipartite": r["bipartition"] is not None,
-                "class_size": r["class_size"],
-                "members": "; ".join(r["members"]),
+        texts = [p.to_text() for p in members]
+        if args.format == "json":
+            record = rep.to_json_obj()
+            record.update(class_size=len(texts), members=texts)
+        else:
+            record = {
+                "signature": " ".join(f"{v},{e}" for v, e in rep.signature),
+                "fC": rep.f_c,
+                "bipartite": rep.bipartition is not None,
+                "class_size": len(texts),
+                "members": "; ".join(texts),
             }
-            for r in records
-        ]
-        print(_render_table(rows))
+        records.append(record)
+    _emit_records(records, args.format)
     return 0
 
 
@@ -267,10 +258,14 @@ def _cumulant_problem(args):
 def cmd_cumulants(args) -> int:
     orders = parse_range(args.n)
     specs, weights, paper = _cumulant_problem(args)
+    # The paper routes run the largest order first, so a cap refuses the
+    # request before any smaller order has done its work.
+    descending = orders[::-1]
     if args.route == "both":
+        pairs = {n: (paper["partition"](n), paper["graph"](n)) for n in descending}
         records = []
         for n in orders:
-            left, right = paper["partition"](n), paper["graph"](n)
+            left, right = pairs[n]
             records.append(
                 {
                     "n": n,
@@ -283,11 +278,11 @@ def cmd_cumulants(args) -> int:
         return 0 if all(r["match"] for r in records) else 1
     if args.route == "dp":
         kappas = dp_cumulants(specs, weights, orders[-1], cap=args.cap)
-        values = [kappas[n - 1] for n in orders]
+        values = {n: kappas[n - 1] for n in orders}
     else:
-        values = [paper[args.route](n) for n in orders]
+        values = {n: paper[args.route](n) for n in descending}
     _emit_records(
-        [{"n": n, "kappa": format_rational(v)} for n, v in zip(orders, values)],
+        [{"n": n, "kappa": format_rational(values[n])} for n in orders],
         args.format,
     )
     return 0

@@ -7,9 +7,9 @@ Poisson, or an explicit cumulant list) and the formulas expressing the
 cumulants of ab + ba, of as + sa with s semicircular, and of a general
 quadratic form sum w_ij a_i a_j, as sums over the partition and cactus
 structures of the companion modules.  Every cactus route, whether it sums
-over partitions or over oriented cactus classes, evaluates the
-``OrientedCactus`` of one outercycle walk: its degrees, its bipartition
-and its edges.
+over partitions or over oriented cactus classes, evaluates one colored sum
+on the ``OrientedCactus`` of one outercycle walk: its degrees and its
+edges.
 
 A brute-force oracle lives here too.  It knows nothing about those
 formulas: it expands powers of the expression into words, computes each
@@ -36,7 +36,7 @@ from freecactus.cactus import (
     g_exponent,
     outercycle,
 )
-from freecactus.errors import ResourceCapError
+from freecactus.errors import check_cap
 from freecactus.partitions import (
     Partition,
     enumerate_nc,
@@ -199,6 +199,10 @@ class WeightMatrix:
         return [[format_rational(x) for x in row] for row in self.entries]
 
 
+# ab + ba as a WeightMatrix: the weights of its cactus routes and its oracle.
+ANTICOMMUTATOR = WeightMatrix(ANTICOMMUTATOR_WEIGHTS)
+
+
 def kappa_pi(p: Partition, word: Sequence[int], specs: Sequence[CumulantSpec]) -> Fraction:
     """Product of block cumulants, zero when a block mixes colors.
 
@@ -292,17 +296,6 @@ def product_cumulant(
     return total
 
 
-def _two_sided(a: CumulantSpec, b: CumulantSpec, cactus: OrientedCactus) -> Fraction:
-    """The cumulants of a at the degrees of one side of the cactus's
-    bipartition times those of b on the other, plus the same with a and b
-    exchanged."""
-    side, other = ([cactus.degrees[v] for v in part] for part in cactus.bipartition)
-    return (
-        a.kappa_product(side) * b.kappa_product(other)
-        + b.kappa_product(side) * a.kappa_product(other)
-    )
-
-
 def anticommutator_cumulant(
     a: CumulantSpec, b: CumulantSpec, n: int, cap: int | None = None
 ) -> Fraction:
@@ -310,9 +303,10 @@ def anticommutator_cumulant(
 
     Iterates the odd-separating partitions sigma of [2n]; pi is the
     Kreweras complement of sigma, whose block graph is then connected and
-    bipartite.  The outercycle walk of pi two-colors its blocks into
-    (pi', pi''), and each sigma contributes the a/b block product plus the
-    same with a and b exchanged.
+    bipartite.  At the weights of ab + ba the colored sum keeps only the
+    two colorings of the bipartition (pi', pi''), so each sigma
+    contributes the a/b block product plus the same with a and b
+    exchanged.
     """
     total = Fraction(0)
     for sigma in enumerate_y(2 * n, cap=cap):
@@ -320,7 +314,7 @@ def anticommutator_cumulant(
         assert cactus.bipartition is not None, (
             "complement of an odd-separating partition"
         )
-        total += _two_sided(a, b, cactus)
+        total += _colored_sum(cactus, (a, b), ANTICOMMUTATOR)
     return total
 
 
@@ -328,12 +322,12 @@ def anticommutator_cumulant_graphwise(
     a: CumulantSpec, b: CumulantSpec, n: int, cap: int | None = None
 ) -> Fraction:
     """kappa_n(ab + ba) by the cactus-class formula: over bipartite
-    oriented cactus classes with n edges, 2^f_C times the two-sided
-    degree-cumulant product.  Must agree with the partition route."""
+    oriented cactus classes with n edges, 2^f_C times the colored sum at
+    the weights of ab + ba.  Must agree with the partition route."""
     total = Fraction(0)
     classes = enumerate_oriented_cacti(n, bipartite_only=True, cap=cap)
     for rep, _members in classes.values():
-        total += 2**rep.f_c * _two_sided(a, b, rep)
+        total += 2**rep.f_c * _colored_sum(rep, (a, b), ANTICOMMUTATOR)
     return total
 
 
@@ -524,9 +518,7 @@ def oracle_anticommutator_moments(
     quadratic-form oracle with the weights of ab + ba, under its own cap.
     Nothing there knows about the closed formulas."""
     cap = DEFAULT_ANTICOM_ORACLE_CAP if cap is None else cap
-    return oracle_quadratic_moments(
-        (a, b), WeightMatrix(ANTICOMMUTATOR_WEIGHTS), n_max, cap=cap
-    )
+    return oracle_quadratic_moments((a, b), ANTICOMMUTATOR, n_max, cap=cap)
 
 
 def oracle_anticommutator_cumulants(
@@ -545,11 +537,7 @@ def oracle_quadratic_moments(
     into the colored words of length 2j, each weighted by the product of
     its pair weights; the j-th power is a sum over j letter pairs, so only
     pairs of nonzero weight are ever expanded."""
-    cap = DEFAULT_QUADRATIC_ORACLE_CAP if cap is None else cap
-    if n_max > cap:
-        raise ResourceCapError(
-            f"word-expansion oracle asked for order {n_max}, beyond its cap {cap}"
-        )
+    check_cap(n_max, cap, DEFAULT_QUADRATIC_ORACLE_CAP, f"oracle order {n_max}")
     if len(specs) != weights.k:
         raise ValueError(
             f"got {len(specs)} specs for a {weights.k}x{weights.k} weight matrix"

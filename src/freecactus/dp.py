@@ -48,7 +48,7 @@ from freecactus.cumulants import (
     CumulantSpec,
     cumulants_from_moments,
 )
-from freecactus.errors import ResourceCapError
+from freecactus.errors import check_cap
 
 DEFAULT_DP_CAP = 60
 
@@ -69,14 +69,9 @@ def dp_cumulants(
     before any work, when the ground set 2 n_max exceeds the cap
     (``DEFAULT_DP_CAP`` unless given).
     """
-    cap = DEFAULT_DP_CAP if cap is None else cap
     if n_max < 1:
         raise ValueError("cumulant orders start at 1")
-    if 2 * n_max > cap:
-        raise ResourceCapError(
-            f"dp route for order {n_max} needs ground set {2 * n_max}, "
-            f"beyond the dp cap {cap}"
-        )
+    check_cap(2 * n_max, cap, DEFAULT_DP_CAP, f"dp order {n_max} (ground set {2 * n_max})")
     w = [[Fraction(x) for x in row] for row in weights]
     k = len(w)
     if k < 1 or any(len(row) != k for row in w):

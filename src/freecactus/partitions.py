@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from freecactus import _core_py
-from freecactus.errors import ResourceCapError
+from freecactus.errors import check_cap
 
 DEFAULT_ENUMERATION_CAP = 16
 
@@ -81,7 +81,7 @@ class Partition:
 
     @classmethod
     def _unchecked(cls, blocks: tuple[tuple[int, ...], ...], size: int) -> "Partition":
-        """Wrap kernel output without re-validating.  Internal use only."""
+        """Wrap canonical blocks without re-validating.  Internal use only."""
         p = object.__new__(cls)
         p._blocks = blocks
         p._size = size
@@ -225,19 +225,16 @@ def _require_noncrossing(p: Partition, op: str) -> None:
 
 
 def enumerate_nc(m: int, cap: int | None = None) -> Iterator[Partition]:
-    """Stream NC(m) in the kernel's frozen block-of-the-minimum order.
+    """Stream NC(m) in the frozen block-of-the-minimum order of
+    ``_core_py.iter_nc_blocks``.
 
     Raises ResourceCapError before yielding anything if m exceeds the cap
     (default DEFAULT_ENUMERATION_CAP = 16); the stream has Catalan-number
     length, so the cap is a safety harness, not a tuning knob.
     """
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if m < 1:
         raise ValueError("ground set size must be positive")
-    if m > cap:
-        raise ResourceCapError(
-            f"enumerating NC({m}) exceeds the enumeration cap {cap}"
-        )
+    check_cap(m, cap, DEFAULT_ENUMERATION_CAP, f"enumerating NC({m})")
 
     def stream():
         for blocks in _core_py.iter_nc_blocks(m):
@@ -481,20 +478,16 @@ def x_membership(p: Partition) -> bool:
 def level_counts(m: int, cap: int | None = None) -> list[int]:
     """Histogram of odd-separating partitions of [m] by level.
 
-    Entry r counts members with exactly r even-only blocks.  Runs on the
-    kernel's pruned scan rather than by filtering the full enumeration;
-    the tests check the two agree.  For m = 8: [112, 41, 2].  The scan is
-    exponential in m and is kept as the reference: ``count levels`` is
-    served by the graded recursion ``series.y_level_counts``, and the
-    tests compare the two.
+    Entry r counts members with exactly r even-only blocks.  Runs the
+    pruned scan ``_core_py.y_level_histogram`` rather than filtering the
+    full enumeration; the tests check the two agree.  For m = 8:
+    [112, 41, 2].  The scan is exponential in m and is kept as the
+    reference: ``count levels`` is served by the graded recursion
+    ``series.y_level_counts``, and the tests compare the two.
     """
-    cap = DEFAULT_ENUMERATION_CAP if cap is None else cap
     if m < 1:
         raise ValueError("ground set size must be positive")
-    if m > cap:
-        raise ResourceCapError(
-            f"level counts for m={m} exceed the enumeration cap {cap}"
-        )
+    check_cap(m, cap, DEFAULT_ENUMERATION_CAP, f"the level scan of m={m}")
     return _core_py.y_level_histogram(m)
 
 

@@ -11,6 +11,7 @@ import subprocess
 
 import pytest
 
+from freecactus import _core_py
 from freecactus.cli import main, parse_range
 
 
@@ -551,6 +552,30 @@ def test_cap_exits_three(capsys):
         assert code == 3
         assert out == ""
         assert "cap" in err
+
+
+@pytest.mark.parametrize("route", ["partition", "graph", "both"])
+def test_a_refused_paper_route_starts_no_stream(capsys, monkeypatch, route):
+    started = []
+    stream = _core_py.iter_nc_blocks
+
+    def recording(m):
+        started.append(m)
+        return stream(m)
+
+    monkeypatch.setattr(_core_py, "iter_nc_blocks", recording)
+    argv = ("cumulants", "anticommutator", "--route", route, "--a", "poisson:1")
+    argv += ("--b", "poisson:1", "--n", "1..4", "--cap")
+    code, out, err = run_cli(capsys, *argv, "6")
+    assert (code, out, started) == (3, "", [])
+    assert "cap 6" in err
+    # Under a cap that admits order 4, the recorder sees every stream, the
+    # largest first.
+    code, out, _err = run_cli(capsys, *argv, "8")
+    assert code == 0
+    assert [r["n"] for r in json_lines(out)] == [1, 2, 3, 4]
+    per_order = [8, 6, 4, 2]
+    assert started == (per_order if route != "both" else [8, 8, 6, 6, 4, 4, 2, 2])
 
 
 def test_asymmetric_weights_exit_two(capsys, tmp_path):
