@@ -67,6 +67,7 @@ from freecactus.partitions import (
     YDecomposition,
     catalan,
     classify,
+    enumerate_connected,
     enumerate_nc,
     enumerate_y,
     interleave,

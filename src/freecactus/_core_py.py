@@ -1,9 +1,10 @@
 """Enumeration hot paths on plain tuples and ints.
 
-These four functions are the innermost loops of the package: streaming
-NC(m), counting it independently, the pruned level scan of the
-odd-separating family, and the colored-word profile counts the oracle
-sums over.  Wrapping into Partition objects, rational arithmetic and so on
+These five functions are the innermost loops of the package: streaming
+NC(m), streaming the partitions of NC(2n) with a connected block graph
+from the same recursion, counting NC(m) independently, the pruned level
+scan of the odd-separating family, and the colored-word profile counts
+the oracle sums over.  Wrapping into Partition objects, rational arithmetic and so on
 happens in the calling layers.
 """
 
@@ -13,6 +14,7 @@ from typing import Iterator
 
 __all__ = [
     "iter_nc_blocks",
+    "iter_connected_blocks",
     "count_nc",
     "y_level_histogram",
     "word_profile_counts",
@@ -35,27 +37,58 @@ def iter_nc_blocks(m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """
     if m < 0:
         raise ValueError("ground set size must be non-negative")
-    return _nc_of(tuple(range(1, m + 1)))
+    return _nc_of(tuple(range(1, m + 1)), 0, 0)
 
 
-def _nc_of(seq):
+def iter_connected_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield the partitions of NC(2n) whose block graph is connected.
+
+    This is the stream of ``iter_nc_blocks(2 * n)``, in the same order,
+    less every partition in which some proper interval {2i+1, .., 2j} is
+    a union of blocks; that happens exactly when the block graph (edge k
+    joining the blocks of 2k-1 and 2k) is disconnected.  The recursion
+    refuses such an interval as it forms, so the partitions left out are
+    never built.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _nc_of(tuple(range(1, 2 * n + 1)), 0, 2 * n)
+
+
+# The recursion partitions an interval ``seq`` as a chain of components:
+# the span of the block of seq[0], then the chain of the rest (a tail
+# call).  The intervals that are unions of blocks are exactly the runs of
+# consecutive components of one chain, and each gap walled off under an arc
+# starts a chain of its own.  With the guard on, m is the ground size 2n
+# and ``lo`` the chain's largest odd component start (0 for none); no
+# component and no chain may then end on an even element while ``lo`` is
+# set, except the whole ground set.  With the guard off, m and lo stay 0.
+
+
+def _nc_of(seq, lo, m):
     if not seq:
         yield ()
         return
-    yield from _grow((seq[0],), 0, (), seq[1:])
+    if m:
+        if seq[0] & 1:
+            lo = seq[0]
+        if lo and not seq[-1] & 1 and (lo > 1 or seq[-1] != m):
+            return
+    yield from _grow((seq[0],), 0, (), seq[1:], lo, m)
 
 
-def _grow(block, idx, done, rest):
+def _grow(block, idx, done, rest, lo, m):
     # Option A: close the block here; the untouched suffix is partitioned
     # on its own.
-    for tail in _nc_of(rest[idx:]):
-        yield (block,) + done + tail
+    if not lo or block[-1] & 1 or (lo == 1 and block[-1] == m):
+        for tail in _nc_of(rest[idx:], lo, m):
+            yield (block,) + done + tail
     # Option B: extend the block with rest[j].  The skipped gap rest[idx:j]
     # is then walled off under the new arc and must be partitioned within
     # itself, which is exactly the non-crossing condition.
     for j in range(idx, len(rest)):
-        for gap in _nc_of(rest[idx:j]):
-            yield from _grow(block + (rest[j],), j + 1, done + gap, rest)
+        for gap in _nc_of(rest[idx:j], 0, m):
+            yield from _grow(block + (rest[j],), j + 1, done + gap, rest, lo, m)
 
 
 def count_nc(m: int) -> int:

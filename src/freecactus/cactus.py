@@ -12,13 +12,17 @@ step within the block".
 The outercycle, renumbered by first visit, is a complete combinatorial
 invariant of the oriented cactus, so grouping partitions by that
 signature enumerates oriented cacti without a separate graph generator.
-The same walk decides connectivity (it reaches every block exactly when
-the graph is connected) and bipartiteness (colors alternating along it
-never clash), so classifying a partition is one pass over plain lists.
-``outercycle`` is the only classifier the cumulant routes use: each of
-them evaluates the ``OrientedCactus`` it returns.  ``build_graph``,
-``is_connected``, ``bipartition`` and ``validate_cactus`` are the
-independent graph-side reference for the self-checks and the tests only.
+The cactus routes draw their partitions from
+``partitions.enumerate_connected``, which prunes the disconnected ones
+inside the NC(2n) recursion, so none of them is built or walked.  The
+walk also decides bipartiteness (colors alternating along it never
+clash), so classifying a partition is one pass over plain lists; it
+still detects a disconnected graph (it then misses a block), which only
+``canonical_outercycle`` and the references meet.  ``outercycle`` is the
+only classifier the cumulant routes use: each of them evaluates the
+``OrientedCactus`` it returns.  ``build_graph``, ``is_connected``,
+``bipartition`` and ``validate_cactus`` are the independent graph-side
+reference for the self-checks and the tests only.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from freecactus.partitions import Partition, enumerate_nc, union_find_roots
+from freecactus.partitions import Partition, enumerate_connected, union_find_roots
 
 Signature = tuple[tuple[int, int], ...]
 
@@ -285,8 +289,6 @@ def outercycle(p: Partition) -> OrientedCactus | None:
     blocks = p.blocks
     size = p.ground_size
     n = size // 2
-    if len(blocks) > n + 1:
-        return None  # n edges connect at most n + 1 vertices
     # step[x] is the next element of the walk: the partner of x, then the
     # next element of the partner's block.  ((y - 1) ^ 1) + 1 is y's partner.
     step = [0] * (size + 1)
@@ -397,16 +399,15 @@ def enumerate_oriented_cacti(
     Returns signature -> (representative, members); the representative is
     the cactus of the first member encountered.  Every class has exactly
     2^f_C members, which the tests assert.  ``bipartite_only`` keeps the
-    classes carrying a bipartition.  The NC(2n) stream enforces the
-    enumeration cap before any work.
+    classes carrying a bipartition.  The partitions come from
+    ``enumerate_connected``, which never builds a disconnected one and
+    enforces the NC(2n) enumeration cap before any work.
     """
     if n < 1:
         raise ValueError("n must be positive")
     classes: dict[Signature, tuple[OrientedCactus, list[Partition]]] = {}
-    for p in enumerate_nc(2 * n, cap=cap):
+    for p in enumerate_connected(n, cap=cap):
         cactus = outercycle(p)
-        if cactus is None:
-            continue
         if bipartite_only and cactus.bipartition is None:
             continue
         if cactus.signature in classes:

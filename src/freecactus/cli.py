@@ -33,6 +33,7 @@ from freecactus.errors import ResourceCapError, check_cap
 from freecactus.partitions import (
     DEFAULT_ENUMERATION_CAP,
     catalan,
+    enumerate_connected,
     enumerate_nc,
     enumerate_y,
     y_membership,
@@ -154,10 +155,14 @@ def cmd_count(args) -> int:
     elif args.kind == "nc":
         _emit_value(catalan(args.m), args.format)
     else:
-        classes = cactus_mod.enumerate_oriented_cacti(
-            args.n, bipartite_only=args.bipartite, cap=args.cap
-        )
-        _emit_value(len(classes), args.format)
+        # One signature per class is enough to count; enumerate_oriented_cacti
+        # would also keep every member partition.
+        signatures = set()
+        for p in enumerate_connected(args.n, cap=args.cap):
+            cactus = cactus_mod.outercycle(p)
+            if not args.bipartite or cactus.bipartition is not None:
+                signatures.add(cactus.signature)
+        _emit_value(len(signatures), args.format)
     return 0
 
 

@@ -39,6 +39,7 @@ from freecactus.cactus import (
 from freecactus.errors import check_cap
 from freecactus.partitions import (
     Partition,
+    enumerate_connected,
     enumerate_nc,
     enumerate_y,
     kreweras,
@@ -451,12 +452,13 @@ def quadratic_form_cumulant(
 ) -> Fraction:
     """kappa_n of the quadratic form sum of w_ij a_i a_j over free a_1..a_k.
 
-    The partition route sums over connected non-crossing partitions of
-    [2n] and all block colorings, each evaluated on the cactus of its
-    outercycle walk.  The graph route evaluates the same sum grouped by
-    oriented cactus class: the colored sum of the class representative
-    times the 2^f_C class size, which is legitimate because the colored
-    sum only depends on the class.  Both routes agree exactly.
+    The partition route sums over the connected non-crossing partitions
+    of [2n], streamed by ``enumerate_connected``, and all block colorings,
+    each evaluated on the cactus of its outercycle walk.  The graph route
+    evaluates the same sum grouped by oriented cactus class: the colored
+    sum of the class representative times the 2^f_C class size, which is
+    legitimate because the colored sum only depends on the class.  Both
+    routes agree exactly.
     """
     if len(specs) != weights.k:
         raise ValueError(
@@ -464,10 +466,8 @@ def quadratic_form_cumulant(
         )
     if route == "partition":
         total = Fraction(0)
-        for p in enumerate_nc(2 * n, cap=cap):
-            cactus = outercycle(p)
-            if cactus is not None:
-                total += _colored_sum(cactus, specs, weights)
+        for p in enumerate_connected(n, cap=cap):
+            total += _colored_sum(outercycle(p), specs, weights)
         return total
     if route == "graph":
         total = Fraction(0)

@@ -12,6 +12,8 @@ from freecactus import (
     Partition,
     ResourceCapError,
     catalan,
+    cumulants_from_moments,
+    enumerate_connected,
     enumerate_nc,
     enumerate_y,
     interval_pairing,
@@ -94,6 +96,33 @@ def test_connectivity_equals_join_with_interval_pairing(n):
     for p in enumerate_nc(2 * n):
         expected = join(p, interval_pairing(n)) == top
         assert is_connected(build_graph(p)) == expected
+
+
+# ------------------------------------------------------ enumerate_connected
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_connected_stream_is_the_filtered_nc_stream(n):
+    assert list(enumerate_connected(n)) == connected_partitions(n)
+
+
+def test_connected_stream_length_is_the_free_poisson_square_cumulant():
+    # A free Poisson variable a of rate 1 has moments C_k and every cumulant
+    # 1, so kappa_n(a^2), a sum over the connected partitions of [2n] by
+    # products as arguments, counts them without enumerating any.
+    kappas = cumulants_from_moments([catalan(2 * k) for k in range(1, 7)])
+    counts = [sum(1 for _ in enumerate_connected(n)) for n in range(1, 7)]
+    assert counts == kappas == [2, 10, 64, 462, 3584, 29172]
+
+
+def test_connected_stream_cap():
+    with pytest.raises(ResourceCapError, match=r"enumerating NC\(18\) exceeds the cap 16"):
+        enumerate_connected(9)
+    with pytest.raises(ResourceCapError):
+        enumerate_connected(3, cap=5)
+    assert sum(1 for _ in enumerate_connected(3, cap=6)) == 64
+    with pytest.raises(ValueError):
+        enumerate_connected(0)
 
 
 # -------------------------------------------------------------- bipartition

@@ -554,16 +554,27 @@ def test_cap_exits_three(capsys):
         assert "cap" in err
 
 
+@pytest.fixture
+def started(monkeypatch):
+    """Ground sizes of the NC streams started, plain or connected, in order."""
+    sizes = []
+    plain, connected = _core_py.iter_nc_blocks, _core_py.iter_connected_blocks
+
+    def record_plain(m):
+        sizes.append(m)
+        return plain(m)
+
+    def record_connected(n):
+        sizes.append(2 * n)
+        return connected(n)
+
+    monkeypatch.setattr(_core_py, "iter_nc_blocks", record_plain)
+    monkeypatch.setattr(_core_py, "iter_connected_blocks", record_connected)
+    return sizes
+
+
 @pytest.mark.parametrize("route", ["partition", "graph", "both"])
-def test_a_refused_paper_route_starts_no_stream(capsys, monkeypatch, route):
-    started = []
-    stream = _core_py.iter_nc_blocks
-
-    def recording(m):
-        started.append(m)
-        return stream(m)
-
-    monkeypatch.setattr(_core_py, "iter_nc_blocks", recording)
+def test_a_refused_paper_route_starts_no_stream(capsys, started, route):
     argv = ("cumulants", "anticommutator", "--route", route, "--a", "poisson:1")
     argv += ("--b", "poisson:1", "--n", "1..4", "--cap")
     code, out, err = run_cli(capsys, *argv, "6")
@@ -576,6 +587,12 @@ def test_a_refused_paper_route_starts_no_stream(capsys, monkeypatch, route):
     assert [r["n"] for r in json_lines(out)] == [1, 2, 3, 4]
     per_order = [8, 6, 4, 2]
     assert started == (per_order if route != "both" else [8, 8, 6, 6, 4, 4, 2, 2])
+
+
+def test_a_refused_cacti_count_starts_no_stream(capsys, started):
+    code, out, err = run_cli(capsys, "count", "cacti", "--n", "9")
+    assert (code, out, started) == (3, "", [])
+    assert "enumerating NC(18) exceeds the cap 16" in err
 
 
 def test_asymmetric_weights_exit_two(capsys, tmp_path):
