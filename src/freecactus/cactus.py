@@ -14,13 +14,15 @@ invariant of the oriented cactus, so grouping partitions by that
 signature enumerates oriented cacti without a separate graph generator.
 The cactus routes draw their partitions from
 ``partitions.enumerate_connected``, which prunes the disconnected ones
-inside the NC(2n) recursion, so none of them is built or walked.  The
-walk also decides bipartiteness (colors alternating along it never
-clash), so classifying a partition is one pass over plain lists; it
-still detects a disconnected graph (it then misses a block), which only
-``canonical_outercycle`` and the references meet.  ``outercycle`` is the
-only classifier the cumulant routes use: each of them evaluates the
-``OrientedCactus`` it returns.  ``build_graph``, ``is_connected``,
+inside the NC(2n) recursion, so none of them is built or walked.
+``canonical_outercycle`` is the one walk: every cumulant route, the class
+table and the counts evaluate the ``OrientedCactus`` it returns.  It also
+decides bipartiteness (colors alternating along the walk never clash),
+so classifying a partition is one pass over plain lists, and it refuses
+a disconnected graph (the walk then misses a block).
+``enumerate_oriented_cacti`` keeps one cactus per class, since a class
+holds exactly 2^f_C partitions; only the ``enumerate cacti`` listing of
+the command line collects members.  ``build_graph``, ``is_connected``,
 ``bipartition`` and ``validate_cactus`` are the independent graph-side
 reference for the self-checks and the tests only.
 """
@@ -273,19 +275,27 @@ def _count_cycles_exhaustively(g: BlockMultigraph, edge_ids: list[int]) -> int:
     return total
 
 
-def outercycle(p: Partition) -> OrientedCactus | None:
-    """Walk the outercycle of p's block multigraph once, on plain lists.
+def canonical_outercycle(p: Partition) -> OrientedCactus:
+    """Walk the outercycle of p's connected block multigraph once, on plain
+    lists, and canonicalize.
 
-    Returns None when the walk misses a block.  The orbit of element 1
-    never leaves the component of block 1, and on a connected graph of a
-    non-crossing partition it visits every vertex, so "every block
-    visited" and "connected" are the same test.  One pass over the
-    recorded walk then yields the signature, the edge rigidity, f_C, the
-    degrees and the bipartition: consecutive entries of the walk are
-    joined by the edge crossed between them, the closing step included,
-    and the walk covers every edge, so alternating colors along it
-    two-colors the graph or meets an odd cycle.
+    Starting from element 1, repeat "swap within the consecutive pair,
+    then step to the next element of the block (cyclically, ascending)"
+    until element 1 returns.  Reading off (block of x, pair index of x)
+    and renumbering both coordinates by first visit gives the signature.
+    Rigid edges are walked once, flexible edges twice, so the walk length
+    is (#rigid) + 2(#flexible).  The orbit of element 1 never leaves the
+    component of block 1, and on a connected graph of a non-crossing
+    partition it visits every vertex, so "every block visited" and
+    "connected" are the same test; a missed block raises ValueError.  One
+    pass over the recorded walk then yields the signature, the edge
+    rigidity, f_C, the degrees and the bipartition: consecutive entries of
+    the walk are joined by the edge crossed between them, the closing step
+    included, and the walk covers every edge, so alternating colors along
+    it two-colors the graph or meets an odd cycle.
     """
+    if p.ground_size % 2:
+        raise ValueError("block multigraphs need an even ground set")
     blocks = p.blocks
     size = p.ground_size
     n = size // 2
@@ -313,7 +323,10 @@ def outercycle(p: Partition) -> OrientedCactus | None:
         if x == 1:
             break
     if len(old_vertices) != len(blocks):
-        return None
+        assert not is_connected(build_graph(p)), (
+            "outercycle must cover every edge and vertex of a connected graph"
+        )
+        raise ValueError("canonical_outercycle needs a connected block graph")
     edge_new = [-1] * (n + 1)
     visits = [0] * (n + 1)
     old_edges: list[int] = []
@@ -362,27 +375,6 @@ def outercycle(p: Partition) -> OrientedCactus | None:
     )
 
 
-def canonical_outercycle(p: Partition) -> OrientedCactus:
-    """Walk the outercycle of a connected block multigraph and canonicalize.
-
-    Starting from element 1, repeat "swap within the consecutive pair,
-    then step to the next element of the block (cyclically, ascending)"
-    until element 1 returns.  Reading off (block of x, pair index of x)
-    and renumbering both coordinates by first visit gives the signature.
-    Rigid edges are walked once, flexible edges twice, so the walk length
-    is (#rigid) + 2(#flexible).
-    """
-    if p.ground_size % 2:
-        raise ValueError("block multigraphs need an even ground set")
-    cactus = outercycle(p)
-    if cactus is None:
-        assert not is_connected(build_graph(p)), (
-            "outercycle must cover every edge and vertex of a connected graph"
-        )
-        raise ValueError("canonical_outercycle needs a connected block graph")
-    return cactus
-
-
 def g_exponent(c: OrientedCactus) -> int:
     """The power-of-two exponent attached to an oriented cactus: 2 f_C + 1
     when the first edge of the walk is flexible, else 2 f_C."""
@@ -393,25 +385,21 @@ def enumerate_oriented_cacti(
     n: int,
     bipartite_only: bool = False,
     cap: int | None = None,
-) -> dict[Signature, tuple[OrientedCactus, list[Partition]]]:
-    """Group the connected partitions of [2n] by outercycle signature.
+) -> dict[Signature, OrientedCactus]:
+    """The oriented cactus classes with n edges: signature -> the cactus of
+    the class's first connected partition of [2n] in stream order.
 
-    Returns signature -> (representative, members); the representative is
-    the cactus of the first member encountered.  Every class has exactly
-    2^f_C members, which the tests assert.  ``bipartite_only`` keeps the
-    classes carrying a bipartition.  The partitions come from
-    ``enumerate_connected``, which never builds a disconnected one and
-    enforces the NC(2n) enumeration cap before any work.
+    A class holds exactly 2^f_C partitions, which the tests assert, so the
+    table keeps no members.  ``bipartite_only`` keeps the classes carrying
+    a bipartition.  The partitions come from ``enumerate_connected``, which
+    never builds a disconnected one and enforces the NC(2n) enumeration cap
+    before any work.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    classes: dict[Signature, tuple[OrientedCactus, list[Partition]]] = {}
+    classes: dict[Signature, OrientedCactus] = {}
     for p in enumerate_connected(n, cap=cap):
-        cactus = outercycle(p)
-        if bipartite_only and cactus.bipartition is None:
-            continue
-        if cactus.signature in classes:
-            classes[cactus.signature][1].append(p)
-        else:
-            classes[cactus.signature] = (cactus, [p])
+        cactus = canonical_outercycle(p)
+        if not bipartite_only or cactus.bipartition is not None:
+            classes.setdefault(cactus.signature, cactus)
     return classes

@@ -155,14 +155,10 @@ def cmd_count(args) -> int:
     elif args.kind == "nc":
         _emit_value(catalan(args.m), args.format)
     else:
-        # One signature per class is enough to count; enumerate_oriented_cacti
-        # would also keep every member partition.
-        signatures = set()
-        for p in enumerate_connected(args.n, cap=args.cap):
-            cactus = cactus_mod.outercycle(p)
-            if not args.bipartite or cactus.bipartition is not None:
-                signatures.add(cactus.signature)
-        _emit_value(len(signatures), args.format)
+        classes = cactus_mod.enumerate_oriented_cacti(
+            args.n, bipartite_only=args.bipartite, cap=args.cap
+        )
+        _emit_value(len(classes), args.format)
     return 0
 
 
@@ -171,13 +167,10 @@ def cmd_count(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.kind == "partitions":
-        parts = list(enumerate_nc(args.m, cap=args.cap))
-        if args.format == "json":
-            for p in parts:
-                print(json.dumps(p.to_json_obj()))
-        else:
-            for p in parts:
-                print(p.to_text())
+        # enumerate_nc checks the cap before the first line; each partition
+        # is printed as it streams.
+        for p in enumerate_nc(args.m, cap=args.cap):
+            print(json.dumps(p.to_json_obj()) if args.format == "json" else p.to_text())
         return 0
     if args.kind == "y":
         records = []
@@ -193,12 +186,15 @@ def cmd_enumerate(args) -> int:
             )
         _emit_records(records, args.format)
         return 0
-    classes = cactus_mod.enumerate_oriented_cacti(
-        args.n, bipartite_only=args.bipartite, cap=args.cap
-    )
+    # The one listing of class members: the cactus of each class's first
+    # member, then every member's text in stream order.
+    classes = {}
+    for p in enumerate_connected(args.n, cap=args.cap):
+        cactus = cactus_mod.canonical_outercycle(p)
+        if not args.bipartite or cactus.bipartition is not None:
+            classes.setdefault(cactus.signature, (cactus, []))[1].append(p.to_text())
     records = []
-    for rep, members in classes.values():
-        texts = [p.to_text() for p in members]
+    for rep, texts in classes.values():
         if args.format == "json":
             record = rep.to_json_obj()
             record.update(class_size=len(texts), members=texts)

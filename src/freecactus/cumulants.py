@@ -8,8 +8,10 @@ cumulants of ab + ba, of as + sa with s semicircular, and of a general
 quadratic form sum w_ij a_i a_j, as sums over the partition and cactus
 structures of the companion modules.  Every cactus route, whether it sums
 over partitions or over oriented cactus classes, evaluates one colored sum
-on the ``OrientedCactus`` of one outercycle walk: its degrees and its
-edges.
+on the ``OrientedCactus`` of one walk, ``cactus.canonical_outercycle``:
+its degrees and its edges.  The class routes read one cactus per class
+from ``enumerate_oriented_cacti`` and weight it by the 2^f_C class size,
+so no route keeps a class's member partitions.
 
 A brute-force oracle lives here too.  It knows nothing about those
 formulas: it expands powers of the expression into words, computes each
@@ -34,7 +36,6 @@ from freecactus.cactus import (
     canonical_outercycle,
     enumerate_oriented_cacti,
     g_exponent,
-    outercycle,
 )
 from freecactus.errors import check_cap
 from freecactus.partitions import (
@@ -326,8 +327,7 @@ def anticommutator_cumulant_graphwise(
     oriented cactus classes with n edges, 2^f_C times the colored sum at
     the weights of ab + ba.  Must agree with the partition route."""
     total = Fraction(0)
-    classes = enumerate_oriented_cacti(n, bipartite_only=True, cap=cap)
-    for rep, _members in classes.values():
+    for rep in enumerate_oriented_cacti(n, bipartite_only=True, cap=cap).values():
         total += 2**rep.f_c * _colored_sum(rep, (a, b), ANTICOMMUTATOR)
     return total
 
@@ -346,7 +346,7 @@ def semicircular_anticommutator(
     if m % 2:
         return Fraction(0)
     total = Fraction(0)
-    for rep, _members in enumerate_oriented_cacti(m // 2, cap=cap).values():
+    for rep in enumerate_oriented_cacti(m // 2, cap=cap).values():
         total += 2 ** (g_exponent(rep) + 1) * a.kappa_product(rep.degrees)
     return total
 
@@ -467,11 +467,11 @@ def quadratic_form_cumulant(
     if route == "partition":
         total = Fraction(0)
         for p in enumerate_connected(n, cap=cap):
-            total += _colored_sum(outercycle(p), specs, weights)
+            total += _colored_sum(canonical_outercycle(p), specs, weights)
         return total
     if route == "graph":
         total = Fraction(0)
-        for rep, _members in enumerate_oriented_cacti(n, cap=cap).values():
+        for rep in enumerate_oriented_cacti(n, cap=cap).values():
             total += 2**rep.f_c * _colored_sum(rep, specs, weights)
         return total
     raise ValueError(f"route must be 'partition' or 'graph', got {route!r}")

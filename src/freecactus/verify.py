@@ -14,6 +14,7 @@ the counting recursion.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from freecactus import cactus as cactus_mod
@@ -36,6 +37,7 @@ from freecactus.dp import dp_cumulants
 from freecactus.partitions import (
     catalan,
     classify,
+    enumerate_connected,
     enumerate_nc,
     enumerate_y,
     interval_pairing,
@@ -117,13 +119,15 @@ def euler_relation(rng: random.Random) -> str:
 def class_sizes(rng: random.Random) -> str:
     for n in range(1, 5):
         classes = cactus_mod.enumerate_oriented_cacti(n)
-        total = 0
-        for rep, members in classes.values():
-            require(len(members) == 2**rep.f_c, rep.signature)
-            total += len(members)
+        sizes = Counter(
+            cactus_mod.canonical_outercycle(p).signature for p in enumerate_connected(n)
+        )
+        require(sizes.keys() == classes.keys(), f"class signatures at n = {n}")
+        for signature, rep in classes.items():
+            require(sizes[signature] == 2**rep.f_c, signature)
         graphs = (cactus_mod.build_graph(p) for p in enumerate_nc(2 * n))
-        require(total == sum(map(cactus_mod.is_connected, graphs)), f"n = {n}")
-        trees = sum(1 for rep, _m in classes.values() if not any(rep.edge_rigidity))
+        require(sizes.total() == sum(map(cactus_mod.is_connected, graphs)), f"n = {n}")
+        trees = sum(1 for rep in classes.values() if not any(rep.edge_rigidity))
         require(trees == catalan(n), f"tree classes at n = {n}")
     return "sizes 2^fC, union complete, trees Catalan, n <= 4"
 

@@ -30,7 +30,6 @@ from freecactus.cactus import (
     enumerate_oriented_cacti,
     g_exponent,
     is_connected,
-    outercycle,
     validate_cactus,
 )
 
@@ -39,6 +38,18 @@ WORKED = Partition.from_text("1 7|2 4 5|3|6|8 9 12|10 11")
 
 def connected_partitions(n):
     return [p for p in enumerate_nc(2 * n) if is_connected(build_graph(p))]
+
+
+def grouped_members(n, bipartite_only=False):
+    """The connected partitions of [2n] grouped by outercycle signature,
+    classes and members in stream order: the members that
+    ``enumerate_oriented_cacti`` does not keep."""
+    groups = {}
+    for p in enumerate_connected(n):
+        c = canonical_outercycle(p)
+        if not bipartite_only or c.bipartition is not None:
+            groups.setdefault(c.signature, []).append(p)
+    return groups
 
 
 # -------------------------------------------------------------- build_graph
@@ -338,10 +349,11 @@ def first_visit_order(p):
 def test_outercycle_walk_agrees_with_the_graph_code(n):
     for p in enumerate_nc(2 * n):
         g = build_graph(p)
-        c = outercycle(p)
-        assert (c is None) == (not is_connected(g))
-        if c is None:
+        if not is_connected(g):
+            with pytest.raises(ValueError, match="connected block graph"):
+                canonical_outercycle(p)
             continue
+        c = canonical_outercycle(p)
         order = first_visit_order(p)
         new_of_old = {v: i for i, v in enumerate(order)}
         assert c.degrees == tuple(g.vertex_degrees[v] for v in order)
@@ -360,8 +372,8 @@ def test_walk_on_complements_of_y_is_bipartite_with_the_graph_sides(n):
     blocks into sides of the same degrees as the graph-side bipartition."""
     for sigma in enumerate_y(2 * n):
         pi = kreweras(sigma)
-        c = outercycle(pi)
-        assert c is not None and c.bipartition is not None
+        c = canonical_outercycle(pi)
+        assert c.bipartition is not None
         parts = bipartition(build_graph(pi))
         for walk_side, graph_side in zip(c.bipartition, parts):
             assert sorted(c.degrees[v] for v in walk_side) == sorted(
@@ -374,9 +386,11 @@ def test_walk_on_complements_of_y_is_bipartite_with_the_graph_sides(n):
 
 def test_two_edge_classes_are_frozen():
     classes = enumerate_oriented_cacti(2)
+    groups = grouped_members(2)
+    assert classes.keys() == groups.keys()
     by_members = {
-        tuple(sorted(m.to_text() for m in members)): rep
-        for rep, members in classes.values()
+        tuple(sorted(m.to_text() for m in members)): classes[signature]
+        for signature, members in groups.items()
     }
     assert len(classes) == 7
     assert set(by_members) == {
@@ -399,37 +413,48 @@ def test_two_edge_classes_are_frozen():
 
 def test_two_edge_bipartite_classes():
     classes = enumerate_oriented_cacti(2, bipartite_only=True)
-    sizes = sorted(len(members) for _, members in classes.values())
+    groups = grouped_members(2, bipartite_only=True)
+    assert classes.keys() == groups.keys()
+    sizes = sorted(len(members) for members in groups.values())
     assert sizes == [1, 2, 2]
-    assert all(rep.bipartition is not None for rep, _ in classes.values())
-    members = {m.to_text() for _, ms in classes.values() for m in ms}
+    assert all(rep.bipartition is not None for rep in classes.values())
+    members = {m.to_text() for ms in groups.values() for m in ms}
     assert members == {"1 4|2 3", "1 3|2|4", "1 4|2|3", "1|2 3|4", "1|2 4|3"}
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_class_sizes_are_powers_of_two_from_f(n):
     classes = enumerate_oriented_cacti(n)
+    groups = grouped_members(n)
+    assert classes.keys() == groups.keys()
     total = 0
-    for rep, members in classes.values():
-        assert len(members) == 2**rep.f_c
-        total += len(members)
+    for signature, rep in classes.items():
+        assert len(groups[signature]) == 2**rep.f_c
+        total += len(groups[signature])
     assert total == len(connected_partitions(n))
+
+
+@pytest.mark.parametrize("bipartite_only", [False, True])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_class_table_holds_the_cactus_of_each_first_member(n, bipartite_only):
+    first_member_cacti = [
+        (signature, canonical_outercycle(members[0]))
+        for signature, members in grouped_members(n, bipartite_only).items()
+    ]
+    classes = enumerate_oriented_cacti(n, bipartite_only=bipartite_only)
+    assert list(classes.items()) == first_member_cacti
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_tree_classes_are_counted_by_catalan(n):
     classes = enumerate_oriented_cacti(n)
-    trees = [
-        rep
-        for rep, _ in classes.values()
-        if not any(rep.edge_rigidity)
-    ]
+    trees = [rep for rep in classes.values() if not any(rep.edge_rigidity)]
     assert len(trees) == catalan(n)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_all_degrees_even_iff_all_edges_rigid(n):
-    for rep, _ in enumerate_oriented_cacti(n).values():
+    for rep in enumerate_oriented_cacti(n).values():
         all_even = all(d % 2 == 0 for d in rep.degrees)
         all_rigid = all(rep.edge_rigidity)
         assert all_even == all_rigid

@@ -96,6 +96,23 @@ def test_enumerate_partitions_frozen_order(capsys):
     assert out.splitlines() == ["1|2|3", "1|2 3", "1 2|3", "1 2 3", "1 3|2"]
 
 
+def test_enumerate_partitions_prints_while_it_streams(capsys, monkeypatch):
+    # A stream that breaks after three partitions: those three lines must
+    # already be written, so nothing waits for the whole of NC(m).
+    plain = _core_py.iter_nc_blocks
+
+    def breaks_after_three(m):
+        for i, blocks in enumerate(plain(m)):
+            if i == 3:
+                raise RuntimeError("stream broken")
+            yield blocks
+
+    monkeypatch.setattr(_core_py, "iter_nc_blocks", breaks_after_three)
+    with pytest.raises(RuntimeError, match="stream broken"):
+        main(["enumerate", "partitions", "--m", "3", "--format", "table"])
+    assert capsys.readouterr().out.splitlines() == ["1|2|3", "1|2 3", "1 2|3"]
+
+
 def test_enumerate_y_carries_levels(capsys):
     code, out, _err = run_cli(capsys, "enumerate", "y", "--m", "4")
     assert code == 0

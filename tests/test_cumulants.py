@@ -25,6 +25,7 @@ from freecactus import (
     anticommutator_cumulant_graphwise,
     catalan,
     cumulants_from_moments,
+    enumerate_connected,
     even_anticommutator,
     format_rational,
     free_poisson_anticommutator_polynomial,
@@ -41,7 +42,7 @@ from freecactus import (
     quadratic_form_cumulant,
     semicircular_anticommutator,
 )
-from freecactus.cactus import build_graph, enumerate_oriented_cacti
+from freecactus.cactus import build_graph, canonical_outercycle, enumerate_oriented_cacti
 from freecactus.cumulants import (
     _colored_sum,
     oracle_quadratic_moments,
@@ -529,10 +530,15 @@ def test_colored_sum_matches_the_brute_force_sum(k):
         WeightMatrix(tuple(tuple(r) for r in with_zeros)),
         WeightMatrix(tuple((Fraction(1),) * k for _ in range(k))),
     ]
+    # Each class's first connected partition; a signature fixes n.
+    first_members = {}
+    for n in range(1, 5):
+        for p in enumerate_connected(n):
+            first_members.setdefault(canonical_outercycle(p).signature, p)
     for weights in weight_sets:
         for n in range(1, 5):
-            for rep, members in enumerate_oriented_cacti(n).values():
-                g = build_graph(members[0])
+            for signature, rep in enumerate_oriented_cacti(n).items():
+                g = build_graph(first_members[signature])
                 want = bruteforce.colored_sum(
                     g.vertex_count, g.edges, g.vertex_degrees, specs, weights.entries
                 )
