@@ -18,6 +18,8 @@ import sys
 
 from freecactus import cactus as cactus_mod
 from freecactus.cumulants import (
+    ANTICOMMUTATOR_WEIGHTS,
+    PRODUCT_WEIGHTS,
     CumulantSpec,
     WeightMatrix,
     anticommutator_cumulant,
@@ -28,7 +30,7 @@ from freecactus.cumulants import (
     quadratic_form_cumulant,
     semicircular_anticommutator,
 )
-from freecactus.dp import ANTICOMMUTATOR_WEIGHTS, PRODUCT_WEIGHTS, dp_cumulants
+from freecactus.dp import dp_cumulants
 from freecactus.errors import ResourceCapError, check_cap
 from freecactus.partitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -226,21 +228,19 @@ ROUTES = {
 
 
 def _cumulant_problem(args):
-    """The target as dp inputs (specs, weight rows) plus its paper routes,
-    each a function of the order."""
+    """The target as dp inputs (specs, ``WeightMatrix``) plus its paper
+    routes, each a function of the order."""
     if args.target == "quadratic":
         specs = tuple(parse_spec(text) for text in args.specs)
         with open(args.weights, "r", encoding="utf-8") as handle:
             weights = WeightMatrix.from_json_obj(json.load(handle))
         paper = {
-            "partition": lambda n: quadratic_form_cumulant(
-                specs, weights, n, route="partition", cap=args.cap
-            ),
-            "graph": lambda n: quadratic_form_cumulant(
-                specs, weights, n, route="graph", cap=args.cap
-            ),
+            route: lambda n, route=route: quadratic_form_cumulant(
+                specs, weights, n, route=route, cap=args.cap
+            )
+            for route in ("partition", "graph")
         }
-        return specs, weights.entries, paper
+        return specs, weights, paper
     a = parse_spec(args.a)
     if args.target == "semicircular-anticom":
         paper = {"graph": lambda n: semicircular_anticommutator(a, n, cap=args.cap)}
@@ -264,17 +264,10 @@ def cmd_cumulants(args) -> int:
     descending = orders[::-1]
     if args.route == "both":
         pairs = {n: (paper["partition"](n), paper["graph"](n)) for n in descending}
-        records = []
-        for n in orders:
-            left, right = pairs[n]
-            records.append(
-                {
-                    "n": n,
-                    "partition": format_rational(left),
-                    "graph": format_rational(right),
-                    "match": left == right,
-                }
-            )
+        records = [
+            {"n": n, "partition": format_rational(p), "graph": format_rational(g), "match": p == g}
+            for n, (p, g) in sorted(pairs.items())
+        ]
         _emit_records(records, args.format)
         return 0 if all(r["match"] for r in records) else 1
     if args.route == "dp":
@@ -366,23 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
         "count", parents=[common], help="counting tables without enumeration output"
     )
     count.add_argument("kind", choices=("y", "levels", "nc", "cacti"))
-    count.add_argument("--m", type=_positive_int, help="ground set size")
-    count.add_argument("--n", type=_positive_int, help="edge count for cacti")
-    count.add_argument(
-        "--bipartite", action="store_true", help="restrict cacti to bipartite classes"
-    )
     count.set_defaults(func=cmd_count)
 
     enum = sub.add_parser(
         "enumerate", parents=[common], help="emit the objects themselves"
     )
     enum.add_argument("kind", choices=("partitions", "y", "cacti"))
-    enum.add_argument("--m", type=_positive_int, help="ground set size")
-    enum.add_argument("--n", type=_positive_int, help="edge count for cacti")
-    enum.add_argument(
-        "--bipartite", action="store_true", help="restrict cacti to bipartite classes"
-    )
     enum.set_defaults(func=cmd_enumerate)
+    for sized in (count, enum):
+        sized.add_argument("--m", type=_positive_int, help="ground set size")
+        sized.add_argument("--n", type=_positive_int, help="edge count for cacti")
+        sized.add_argument(
+            "--bipartite", action="store_true", help="restrict cacti to bipartite classes"
+        )
 
     cum = sub.add_parser(
         "cumulants", parents=[common], help="exact cumulants of combined variables"
@@ -436,29 +425,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The options each count and enumerate kind and each cumulant target reads, True
+# where required.  Setting any other of them is a usage error, not ignored.
+READS = {
+    ("count", "y"): {"m": True},
+    ("count", "levels"): {"m": True, "cap": False},
+    ("count", "nc"): {"m": True},
+    ("count", "cacti"): {"n": True, "bipartite": False, "cap": False},
+    ("enumerate", "partitions"): {"m": True, "cap": False},
+    ("enumerate", "y"): {"m": True, "cap": False},
+    ("enumerate", "cacti"): {"n": True, "bipartite": False, "cap": False},
+    ("cumulants", "anticommutator"): {"a": True, "b": True, "cap": False},
+    ("cumulants", "product"): {"a": True, "b": True, "cap": False},
+    ("cumulants", "semicircular-anticom"): {"a": True, "cap": False},
+    ("cumulants", "quadratic"): {"specs": True, "weights": True, "cap": False},
+}
+
+
 def _validate(parser, args) -> None:
-    if args.command == "count":
-        if args.kind in ("y", "levels", "nc") and args.m is None:
-            parser.error(f"count {args.kind} requires --m")
-        if args.kind == "cacti" and args.n is None:
-            parser.error("count cacti requires --n")
-    if args.command == "enumerate":
-        if args.kind in ("partitions", "y") and args.m is None:
-            parser.error(f"enumerate {args.kind} requires --m")
-        if args.kind == "cacti" and args.n is None:
-            parser.error("enumerate cacti requires --n")
-    if args.command == "cumulants":
-        if args.target in ("anticommutator", "product") and not (args.a and args.b):
-            parser.error(f"cumulants {args.target} requires --a and --b")
-        if args.target == "semicircular-anticom" and not args.a:
-            parser.error("cumulants semicircular-anticom requires --a")
-        if args.target == "quadratic" and not (args.specs and args.weights):
-            parser.error("cumulants quadratic requires --specs and --weights")
-        if args.route not in ROUTES[args.target]:
-            parser.error(
-                f"cumulants {args.target} takes --route "
-                + ", ".join(ROUTES[args.target])
-            )
+    kind = args.target if args.command == "cumulants" else getattr(args, "kind", None)
+    reads = READS.get((args.command, kind), {})
+    required = [option for option, needed in reads.items() if needed]
+    if not all(getattr(args, option) for option in required):
+        parser.error(f"{args.command} {kind} requires " + " and ".join(f"--{o}" for o in required))
+    options = dict.fromkeys(o for (cmd, _), row in READS.items() if cmd == args.command for o in row)
+    unread = [o for o in options if o not in reads and getattr(args, o) not in (None, False)]
+    if unread:
+        parser.error(f"{args.command} {kind} does not take " + ", ".join(f"--{o}" for o in unread))
+    if args.command == "cumulants" and args.route not in ROUTES[kind]:
+        parser.error(f"cumulants {kind} takes --route " + ", ".join(ROUTES[kind]))
 
 
 def main(argv=None) -> int:

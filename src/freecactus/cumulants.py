@@ -51,9 +51,6 @@ from freecactus.partitions import (
 DEFAULT_ANTICOM_ORACLE_CAP = 5
 DEFAULT_QUADRATIC_ORACLE_CAP = 4
 
-# The weights of ab + ba as a quadratic form in (a, b).
-ANTICOMMUTATOR_WEIGHTS = ((0, 1), (1, 0))
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational."""
@@ -166,7 +163,9 @@ def parse_spec(text: str) -> CumulantSpec:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """A symmetric k x k matrix of exact rationals."""
+    """A square k x k matrix of exact rationals: w[c][d] weighs the word
+    a_c a_d, so row and column c belong to the c-th variable.  Only the
+    cactus routes of ``quadratic_form_cumulant`` need it symmetric."""
 
     entries: tuple[tuple[Fraction, ...], ...]
 
@@ -179,17 +178,15 @@ class WeightMatrix:
         for i, row in enumerate(rows):
             if len(row) != k:
                 raise ValueError(f"weight matrix row {i} has length {len(row)}, not {k}")
-        for i in range(k):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError(
-                        f"weight matrix is not symmetric at ({i},{j}): "
-                        f"{rows[i][j]} vs {rows[j][i]}"
-                    )
 
     @property
     def k(self) -> int:
         return len(self.entries)
+
+    def check_specs(self, specs: Sequence[CumulantSpec]) -> None:
+        """Refuse a spec list that does not give one variable per row."""
+        if len(specs) != self.k:
+            raise ValueError(f"got {len(specs)} specs for a {self.k}x{self.k} weight matrix")
 
     @classmethod
     def from_json_obj(cls, obj) -> "WeightMatrix":
@@ -201,8 +198,9 @@ class WeightMatrix:
         return [[format_rational(x) for x in row] for row in self.entries]
 
 
-# ab + ba as a WeightMatrix: the weights of its cactus routes and its oracle.
-ANTICOMMUTATOR = WeightMatrix(ANTICOMMUTATOR_WEIGHTS)
+# The forms ab + ba and ab in (a, b); as + sa is ab + ba with b = s.
+ANTICOMMUTATOR_WEIGHTS = WeightMatrix(((0, 1), (1, 0)))
+PRODUCT_WEIGHTS = WeightMatrix(((0, 1), (0, 0)))
 
 
 def kappa_pi(p: Partition, word: Sequence[int], specs: Sequence[CumulantSpec]) -> Fraction:
@@ -316,7 +314,7 @@ def anticommutator_cumulant(
         assert cactus.bipartition is not None, (
             "complement of an odd-separating partition"
         )
-        total += _colored_sum(cactus, (a, b), ANTICOMMUTATOR)
+        total += _colored_sum(cactus, (a, b), ANTICOMMUTATOR_WEIGHTS)
     return total
 
 
@@ -328,7 +326,7 @@ def anticommutator_cumulant_graphwise(
     the weights of ab + ba.  Must agree with the partition route."""
     total = Fraction(0)
     for rep in enumerate_oriented_cacti(n, bipartite_only=True, cap=cap).values():
-        total += 2**rep.f_c * _colored_sum(rep, (a, b), ANTICOMMUTATOR)
+        total += 2**rep.f_c * _colored_sum(rep, (a, b), ANTICOMMUTATOR_WEIGHTS)
     return total
 
 
@@ -391,8 +389,8 @@ def _colored_sum(
 ) -> Fraction:
     """Sum over all vertex colorings of one cactus: the edge weight product
     times the per-vertex cumulants of the colored specs at the vertex
-    degrees.  The weights are symmetric, so the direction in which
-    ``renumbered_edges`` reports an edge does not matter.
+    degrees.  The weights must be symmetric, as they are at every caller,
+    since ``renumbered_edges`` reports an edge in either direction.
 
     Colors are chosen depth first, vertex by vertex, and the partial
     product is carried down: vertex t brings its cumulant and the weight of
@@ -458,12 +456,16 @@ def quadratic_form_cumulant(
     evaluates the same sum grouped by oriented cactus class: the colored
     sum of the class representative times the 2^f_C class size, which is
     legitimate because the colored sum only depends on the class.  Both
-    routes agree exactly.
+    routes agree exactly.  A cactus edge has no word order, so both refuse
+    asymmetric weights; ``dp.dp_cumulants`` takes any.
     """
-    if len(specs) != weights.k:
-        raise ValueError(
-            f"got {len(specs)} specs for a {weights.k}x{weights.k} weight matrix"
-        )
+    rows = weights.entries
+    for j, i in itertools.combinations(range(weights.k), 2):
+        if rows[i][j] != rows[j][i]:
+            raise ValueError(
+                f"weight matrix is not symmetric at ({i},{j}): {rows[i][j]} vs {rows[j][i]}"
+            )
+    weights.check_specs(specs)
     if route == "partition":
         total = Fraction(0)
         for p in enumerate_connected(n, cap=cap):
@@ -518,7 +520,7 @@ def oracle_anticommutator_moments(
     quadratic-form oracle with the weights of ab + ba, under its own cap.
     Nothing there knows about the closed formulas."""
     cap = DEFAULT_ANTICOM_ORACLE_CAP if cap is None else cap
-    return oracle_quadratic_moments((a, b), ANTICOMMUTATOR, n_max, cap=cap)
+    return oracle_quadratic_moments((a, b), ANTICOMMUTATOR_WEIGHTS, n_max, cap=cap)
 
 
 def oracle_anticommutator_cumulants(
@@ -538,10 +540,7 @@ def oracle_quadratic_moments(
     its pair weights; the j-th power is a sum over j letter pairs, so only
     pairs of nonzero weight are ever expanded."""
     check_cap(n_max, cap, DEFAULT_QUADRATIC_ORACLE_CAP, f"oracle order {n_max}")
-    if len(specs) != weights.k:
-        raise ValueError(
-            f"got {len(specs)} specs for a {weights.k}x{weights.k} weight matrix"
-        )
+    weights.check_specs(specs)
     pairs = [
         ((c, d), w)
         for c, row in enumerate(weights.entries)

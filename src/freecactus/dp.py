@@ -33,9 +33,9 @@ once.  The tables are filled bottom-up by length: no recursion and no
 cache outliving the call.
 
 ab + ba, as + sa (specs a, semicircular), ab and every quadratic form
-differ only in the weight matrix, which need not be symmetric:
-``ANTICOMMUTATOR_WEIGHTS`` (shared with the oracle in ``cumulants``) and
-``PRODUCT_WEIGHTS`` below.
+differ only in the ``WeightMatrix``, which may be asymmetric, as for the
+commutator ab - ba: ``ANTICOMMUTATOR_WEIGHTS`` and ``PRODUCT_WEIGHTS`` in
+``cumulants`` are two of them.
 """
 
 from __future__ import annotations
@@ -43,41 +43,31 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from freecactus.cumulants import (
-    ANTICOMMUTATOR_WEIGHTS,
-    CumulantSpec,
-    cumulants_from_moments,
-)
+from freecactus.cumulants import CumulantSpec, WeightMatrix, cumulants_from_moments
 from freecactus.errors import check_cap
 
 DEFAULT_DP_CAP = 60
 
-PRODUCT_WEIGHTS = ((0, 1), (0, 0))
-
 
 def dp_cumulants(
     specs: Sequence[CumulantSpec],
-    weights: Sequence[Sequence],
+    weights: WeightMatrix,
     n_max: int,
     cap: int | None = None,
 ) -> list[Fraction]:
     """kappa_1..kappa_{n_max} of the sum of w[c][d] a_c a_d over free a_c.
 
-    ``weights`` is any k x k array of rationals, with row and column c
-    belonging to ``specs[c]``; it need not be symmetric.  Each spec is
-    asked for cumulants up to order 2 n_max.  Raises ResourceCapError,
-    before any work, when the ground set 2 n_max exceeds the cap
-    (``DEFAULT_DP_CAP`` unless given).
+    ``weights`` is any square ``WeightMatrix``, symmetric or not, with row
+    and column c belonging to ``specs[c]``.  Each spec is asked for
+    cumulants up to order 2 n_max.  Raises ResourceCapError, before any
+    work, when the ground set 2 n_max exceeds the cap (``DEFAULT_DP_CAP``
+    unless given).
     """
     if n_max < 1:
         raise ValueError("cumulant orders start at 1")
     check_cap(2 * n_max, cap, DEFAULT_DP_CAP, f"dp order {n_max} (ground set {2 * n_max})")
-    w = [[Fraction(x) for x in row] for row in weights]
-    k = len(w)
-    if k < 1 or any(len(row) != k for row in w):
-        raise ValueError("weights must be a non-empty square matrix")
-    if len(specs) != k:
-        raise ValueError(f"got {len(specs)} specs for a {k}x{k} weight matrix")
+    weights.check_specs(specs)
+    w, k = weights.entries, weights.k
 
     size = 2 * n_max
     colors = range(k)

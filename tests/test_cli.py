@@ -544,6 +544,56 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+# Each kind or target with its required options, and the options of its
+# command that it never reads.
+UNREAD = [
+    (("count", "y", "--m", "5"), ("--n", "--bipartite", "--cap")),
+    (("count", "levels", "--m", "5"), ("--n", "--bipartite")),
+    (("count", "nc", "--m", "5"), ("--n", "--bipartite", "--cap")),
+    (("count", "cacti", "--n", "2"), ("--m",)),
+    (("enumerate", "partitions", "--m", "3"), ("--n", "--bipartite")),
+    (("enumerate", "y", "--m", "4"), ("--n", "--bipartite")),
+    (("enumerate", "cacti", "--n", "2"), ("--m",)),
+    (
+        ("cumulants", "anticommutator", "--a", "poisson:1", "--b", "poisson:1", "--n", "2"),
+        ("--specs", "--weights"),
+    ),
+    (
+        ("cumulants", "product", "--a", "poisson:1", "--b", "poisson:1", "--n", "2"),
+        ("--specs", "--weights"),
+    ),
+    (("cumulants", "semicircular-anticom", "--a", "poisson:1", "--n", "2"), ("--b", "--specs", "--weights")),
+    (
+        ("cumulants", "quadratic", "--specs", "poisson:1", "--weights", "w.json", "--n", "2"),
+        ("--a", "--b"),
+    ),
+]
+VALUES = {
+    "--m": ("3",),
+    "--n": ("2",),
+    "--bipartite": (),
+    "--cap": ("8",),
+    "--a": ("poisson:1",),
+    "--b": ("gamma",),
+    "--specs": ("semicircular",),
+    "--weights": ("w.json",),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [(argv, option) for argv, options in UNREAD for option in options],
+    ids=lambda value: " ".join(value[:2]) if isinstance(value, tuple) else value,
+)
+def test_an_option_the_request_does_not_read_exits_two(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, option, *VALUES[option]])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{' '.join(argv[:2])} does not take {option}" in err
+
+
 def test_bad_spec_exits_two(capsys):
     code, _out, err = run_cli(
         capsys,
@@ -613,22 +663,34 @@ def test_a_refused_cacti_count_starts_no_stream(capsys, started):
 
 
 def test_asymmetric_weights_exit_two(capsys, tmp_path):
+    """Only the cactus routes refuse an asymmetric form; dp computes it."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([["0", "1"], ["2", "0"]]))
-    code, _out, err = run_cli(
-        capsys,
-        "cumulants",
-        "quadratic",
-        "--specs",
-        "semicircular",
-        "semicircular",
-        "--weights",
-        str(bad),
-        "--n",
-        "1",
+    argv = ("cumulants", "quadratic", "--specs", "semicircular", "semicircular")
+    argv += ("--weights", str(bad), "--n", "1..2")
+    for route in ("partition", "graph", "both"):
+        code, out, err = run_cli(capsys, *argv, "--route", route)
+        assert (code, out) == (2, "")
+        assert "not symmetric at (1,0)" in err
+    code, out, _err = run_cli(capsys, *argv)
+    assert code == 0
+    # Free standard semicirculars: kappa_2(ab + 2ba) = 2 E(abba) + 2 E(baab) = 4.
+    assert [r["kappa"] for r in json_lines(out)] == ["0", "4"]
+
+
+def test_a_form_is_its_weights(capsys, tmp_path):
+    weights = tmp_path / "product.json"
+    weights.write_text(json.dumps([["0", "1"], ["0", "0"]]))
+    pair = ("cumulants:[1/2,-1,2]", "poisson:3/2")
+    code, quadratic, _err = run_cli(
+        capsys, "cumulants", "quadratic", "--specs", *pair, "--weights", str(weights), "--n", "1..6"
     )
-    assert code == 2
-    assert "not symmetric" in err
+    assert code == 0
+    code, product, _err = run_cli(
+        capsys, "cumulants", "product", "--a", pair[0], "--b", pair[1], "--n", "1..6"
+    )
+    assert code == 0
+    assert quadratic == product
 
 
 def test_missing_weights_file_exits_two(capsys, tmp_path):

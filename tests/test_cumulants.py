@@ -195,8 +195,13 @@ def test_weight_matrix_rejects_ragged_rows():
 
 
 def test_weight_matrix_rejects_asymmetry_naming_the_entry():
-    with pytest.raises(ValueError, match=r"\(1,0\)"):
-        WeightMatrix(((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0))))
+    """A WeightMatrix may be asymmetric; the cactus routes refuse it."""
+    w = WeightMatrix(((Fraction(0), Fraction(1)), (Fraction(2), Fraction(0))))
+    assert w.entries == ((0, 1), (2, 0))
+    s = CumulantSpec.semicircular()
+    for route in ("partition", "graph"):
+        with pytest.raises(ValueError, match=r"not symmetric at \(1,0\): 2 vs 1"):
+            quadratic_form_cumulant((s, s), w, 2, route=route)
 
 
 def test_weight_matrix_rejects_empty():

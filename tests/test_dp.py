@@ -23,13 +23,12 @@ from freecactus import (
     quadratic_form_cumulant,
     semicircular_anticommutator,
 )
-from freecactus.cumulants import random_explicit_spec
-from freecactus.dp import (
+from freecactus.cumulants import (
     ANTICOMMUTATOR_WEIGHTS,
-    DEFAULT_DP_CAP,
     PRODUCT_WEIGHTS,
-    dp_cumulants,
+    random_explicit_spec,
 )
+from freecactus.dp import DEFAULT_DP_CAP, dp_cumulants
 
 SEED = 1729
 
@@ -95,7 +94,7 @@ def test_quadratic_matches_oracle_and_graph_route(k, with_zeros):
             if not (with_zeros and (i + j) % 2 == 0):
                 rows[i][j] = rows[j][i] = Fraction(rng.randint(1, 3), rng.choice((1, 2)))
     weights = WeightMatrix(tuple(tuple(r) for r in rows))
-    got = dp_cumulants(specs, weights.entries, 4)
+    got = dp_cumulants(specs, weights, 4)
     assert got == oracle_quadratic_cumulants(specs, weights, 4)
     assert got == [
         quadratic_form_cumulant(specs, weights, n, route="graph") for n in range(1, 5)
@@ -108,11 +107,55 @@ def test_free_poisson_pair_matches_counting_recursion():
 
 
 def test_asymmetric_weights_are_accepted_by_dp_only():
-    with pytest.raises(ValueError, match="not symmetric"):
-        WeightMatrix(PRODUCT_WEIGHTS)
     one = CumulantSpec.free_poisson(1)
     # kappa_n(ab) for free Poisson(1) variables: the Catalan numbers.
     assert dp_cumulants((one, one), PRODUCT_WEIGHTS, 4) == [1, 2, 5, 14]
+    for route in ("partition", "graph"):
+        with pytest.raises(ValueError, match="not symmetric"):
+            quadratic_form_cumulant((one, one), PRODUCT_WEIGHTS, 2, route=route)
+
+
+def random_asymmetric_weights(rng, k):
+    return WeightMatrix(
+        tuple(
+            tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(k))
+            for _ in range(k)
+        )
+    )
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 4), (3, 3)])
+def test_asymmetric_weights_match_the_oracle(k, n_max):
+    rng = random.Random(SEED + 10 * k)
+    for _ in range(3):
+        specs = tuple(random_explicit_spec(rng, 2 * n_max) for _ in range(k))
+        weights = random_asymmetric_weights(rng, k)
+        assert any(
+            weights.entries[i][j] != weights.entries[j][i] for i in range(k) for j in range(i)
+        )
+        got = dp_cumulants(specs, weights, n_max)
+        assert got == oracle_quadratic_cumulants(specs, weights, n_max)
+
+
+def test_commutator_of_even_variables_matches_the_anticommutator():
+    """Nica & Speicher, "Commutators of free random variables" (Duke Math.
+    J. 92, 1998): for even free a and b, kappa_n(ab - ba) vanishes at odd
+    n, and (-1)^(n/2) kappa_n(ab - ba) = kappa_n(ab + ba)."""
+    rng = random.Random(SEED + 20)
+    commutator = WeightMatrix(((0, 1), (-1, 0)))
+    for _ in range(2):
+        a, b = (
+            CumulantSpec.explicit([v for x in random_explicit_spec(rng, 6).values for v in (0, x)])
+            for _ in range(2)
+        )
+        minus = dp_cumulants((a, b), commutator, 20)
+        plus = dp_cumulants((a, b), ANTICOMMUTATOR_WEIGHTS, 20)
+        assert any(plus)
+        for n in range(1, 21):
+            if n % 2:
+                assert minus[n - 1] == plus[n - 1] == 0
+            else:
+                assert (-1) ** (n // 2) * minus[n - 1] == plus[n - 1]
 
 
 def test_order_beyond_the_cap_is_refused():

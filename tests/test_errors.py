@@ -10,12 +10,13 @@ import pytest
 
 from freecactus.cli import build_parser
 from freecactus.cumulants import (
+    ANTICOMMUTATOR_WEIGHTS,
     CumulantSpec,
     WeightMatrix,
     oracle_anticommutator_moments,
     oracle_quadratic_moments,
 )
-from freecactus.dp import ANTICOMMUTATOR_WEIGHTS, dp_cumulants
+from freecactus.dp import dp_cumulants
 from freecactus.errors import ResourceCapError, check_cap
 from freecactus.partitions import enumerate_nc, level_counts
 
