@@ -30,7 +30,7 @@ from freecactus.cumulants import (
     quadratic_form_cumulant,
     semicircular_anticommutator,
 )
-from freecactus.dp import dp_cumulants
+from freecactus.dp import DEFAULT_DP_CAP, dp_cumulants
 from freecactus.errors import ResourceCapError, check_cap
 from freecactus.partitions import (
     DEFAULT_ENUMERATION_CAP,
@@ -38,7 +38,6 @@ from freecactus.partitions import (
     enumerate_connected,
     enumerate_nc,
     enumerate_y,
-    y_membership,
 )
 from freecactus.series import (
     DEFAULT_SERIES_ORDER,
@@ -63,11 +62,11 @@ def _positive_int(text: str) -> int:
 
 def parse_range(text: str) -> list[int]:
     """Parse "a..b" (inclusive) or a single "n" into a list of orders."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+    except ValueError:
+        lo = hi = 0  # not a number: refused as a bad range below
     if lo < 1 or hi < lo:
         raise ValueError(f"bad order range {text!r}; need 1 <= a <= b")
     return list(range(lo, hi + 1))
@@ -175,17 +174,16 @@ def cmd_enumerate(args) -> int:
             print(json.dumps(p.to_json_obj()) if args.format == "json" else p.to_text())
         return 0
     if args.kind == "y":
-        records = []
-        for p in enumerate_y(args.m, cap=args.cap):
-            decomposition = y_membership(p)
-            records.append(
-                {
-                    "partition": (
-                        p.to_json_obj() if args.format == "json" else p.to_text()
-                    ),
-                    "level": decomposition.level,
-                }
-            )
+        # A member of Y(m) has one block per odd element plus its even-only
+        # blocks, so its level is its block count less (m + 1) // 2.
+        odd = (args.m + 1) // 2
+        records = [
+            {
+                "partition": p.to_json_obj() if args.format == "json" else p.to_text(),
+                "level": len(p) - odd,
+            }
+            for p in enumerate_y(args.m, cap=args.cap)
+        ]
         _emit_records(records, args.format)
         return 0
     # The one listing of class members: the cactus of each class's first
@@ -214,17 +212,6 @@ def cmd_enumerate(args) -> int:
 
 
 # --------------------------------------------------------------- cumulants
-
-
-# Routes each cumulant target accepts.  dp is the default everywhere; the
-# paper's partition and graph routes stay for reproduction, and "both"
-# compares those two.
-ROUTES = {
-    "anticommutator": ("dp", "partition", "graph", "both"),
-    "quadratic": ("dp", "partition", "graph", "both"),
-    "product": ("dp", "partition"),
-    "semicircular-anticom": ("dp", "graph"),
-}
 
 
 def _cumulant_problem(args):
@@ -285,20 +272,24 @@ def cmd_cumulants(args) -> int:
 # ------------------------------------------------------------------ series
 
 
+DEFAULT_CAUCHY_MOMENTS = 8
+
+
 def cmd_series(args) -> int:
+    order = args.order or DEFAULT_SERIES_ORDER
     if args.kind == "counts":
-        a, b = y_series(args.order)
+        a, b = y_series(order)
         _emit_object({"even": a.to_json_obj(), "odd": b.to_json_obj()}, args.format)
         return 0
     if args.kind == "check":
-        report = check_functional_equations(*y_series(args.order))
+        report = check_functional_equations(*y_series(order))
         _emit_object(report.to_json_obj(), args.format)
         return 0 if report.all_pass else 1
     if args.kind == "minverse":
-        _emit_value(minverse_closed_form(args.order).to_json_obj(), args.format)
+        _emit_value(minverse_closed_form(order).to_json_obj(), args.format)
         return 0
     # cauchy
-    residual = cauchy_polynomial_residual(args.moments)
+    residual = cauchy_polynomial_residual(args.moments or DEFAULT_CAUCHY_MOMENTS)
     all_zero = all(c == 0 for c in residual)
     _emit_object(
         {"residual": [format_rational(c) for c in residual], "all_zero": all_zero},
@@ -327,6 +318,37 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+# Every request of count, enumerate, cumulants and series, each once: the
+# options it reads, True where required and False where optional.  Setting
+# any other option of its command is a usage error, not ignored.  A cumulant
+# target's "route" lists the routes it takes: dp, the default, first; the
+# paper's partition and graph routes stay for reproduction, "both" compares them.
+READS = {
+    ("count", "y"): {"m": True},
+    ("count", "levels"): {"m": True, "cap": False},
+    ("count", "nc"): {"m": True},
+    ("count", "cacti"): {"n": True, "bipartite": False, "cap": False},
+    ("enumerate", "partitions"): {"m": True, "cap": False},
+    ("enumerate", "y"): {"m": True, "cap": False},
+    ("enumerate", "cacti"): {"n": True, "bipartite": False, "cap": False},
+    ("cumulants", "anticommutator"):
+        {"a": True, "b": True, "cap": False, "route": ("dp", "partition", "graph", "both")},
+    ("cumulants", "product"): {"a": True, "b": True, "cap": False, "route": ("dp", "partition")},
+    ("cumulants", "semicircular-anticom"): {"a": True, "cap": False, "route": ("dp", "graph")},
+    ("cumulants", "quadratic"):
+        {"specs": True, "weights": True, "cap": False, "route": ("dp", "partition", "graph", "both")},
+    ("series", "counts"): {"order": False},
+    ("series", "check"): {"order": False},
+    ("series", "minverse"): {"order": False},
+    ("series", "cauchy"): {"moments": False},
+}
+
+
+def _kinds(command: str) -> tuple[str, ...]:
+    """The kinds (for cumulants, the targets) of a command, in table order."""
+    return tuple(kind for cmd, kind in READS if cmd == command)
+
+
 def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument(
@@ -339,10 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cap",
         type=_positive_int,
-        default=None,
         help=(
-            "ground-set cap override: enumerations default to 16, "
-            "the dp route to 60"
+            f"ground-set cap override: enumerations default to {DEFAULT_ENUMERATION_CAP}, "
+            f"the dp route to {DEFAULT_DP_CAP}"
         ),
     )
 
@@ -358,13 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser(
         "count", parents=[common], help="counting tables without enumeration output"
     )
-    count.add_argument("kind", choices=("y", "levels", "nc", "cacti"))
+    count.add_argument("kind", choices=_kinds("count"))
     count.set_defaults(func=cmd_count)
 
     enum = sub.add_parser(
         "enumerate", parents=[common], help="emit the objects themselves"
     )
-    enum.add_argument("kind", choices=("partitions", "y", "cacti"))
+    enum.add_argument("kind", choices=_kinds("enumerate"))
     enum.set_defaults(func=cmd_enumerate)
     for sized in (count, enum):
         sized.add_argument("--m", type=_positive_int, help="ground set size")
@@ -376,10 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     cum = sub.add_parser(
         "cumulants", parents=[common], help="exact cumulants of combined variables"
     )
-    cum.add_argument(
-        "target",
-        choices=("anticommutator", "product", "semicircular-anticom", "quadratic"),
-    )
+    routes = {target: READS["cumulants", target]["route"] for target in _kinds("cumulants")}
+    cum.add_argument("target", choices=tuple(routes))
     cum.add_argument("--a", help="first distribution spec")
     cum.add_argument("--b", help="second distribution spec")
     cum.add_argument(
@@ -389,28 +408,24 @@ def build_parser() -> argparse.ArgumentParser:
     cum.add_argument("--n", required=True, help="order or inclusive range a..b")
     cum.add_argument(
         "--route",
-        choices=("dp", "partition", "graph", "both"),
+        choices=tuple(dict.fromkeys(r for taken in routes.values() for r in taken)),
         default="dp",
         help="summation route, default dp; by target: "
-        + "; ".join(f"{t}: {', '.join(r)}" for t, r in ROUTES.items()),
+        + "; ".join(f"{t}: {', '.join(r)}" for t, r in routes.items()),
     )
     cum.set_defaults(func=cmd_cumulants)
 
     ser = sub.add_parser(
         "series", parents=[output], help="counting series and their identities"
     )
-    ser.add_argument("kind", choices=("counts", "check", "minverse", "cauchy"))
+    ser.add_argument("kind", choices=_kinds("series"))
     ser.add_argument(
-        "--order",
-        type=_positive_int,
-        default=DEFAULT_SERIES_ORDER,
-        help="truncation order",
+        "--order", type=_positive_int, help=f"truncation order (default {DEFAULT_SERIES_ORDER})"
     )
     ser.add_argument(
         "--moments",
         type=_positive_int,
-        default=8,
-        help="number of moments feeding the Cauchy residual",
+        help=f"number of moments feeding the Cauchy residual (default {DEFAULT_CAUCHY_MOMENTS})",
     )
     ser.set_defaults(func=cmd_series)
 
@@ -425,35 +440,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The options each count and enumerate kind and each cumulant target reads, True
-# where required.  Setting any other of them is a usage error, not ignored.
-READS = {
-    ("count", "y"): {"m": True},
-    ("count", "levels"): {"m": True, "cap": False},
-    ("count", "nc"): {"m": True},
-    ("count", "cacti"): {"n": True, "bipartite": False, "cap": False},
-    ("enumerate", "partitions"): {"m": True, "cap": False},
-    ("enumerate", "y"): {"m": True, "cap": False},
-    ("enumerate", "cacti"): {"n": True, "bipartite": False, "cap": False},
-    ("cumulants", "anticommutator"): {"a": True, "b": True, "cap": False},
-    ("cumulants", "product"): {"a": True, "b": True, "cap": False},
-    ("cumulants", "semicircular-anticom"): {"a": True, "cap": False},
-    ("cumulants", "quadratic"): {"specs": True, "weights": True, "cap": False},
-}
-
-
 def _validate(parser, args) -> None:
     kind = args.target if args.command == "cumulants" else getattr(args, "kind", None)
     reads = READS.get((args.command, kind), {})
-    required = [option for option, needed in reads.items() if needed]
+    required = [option for option, needed in reads.items() if needed is True]
     if not all(getattr(args, option) for option in required):
         parser.error(f"{args.command} {kind} requires " + " and ".join(f"--{o}" for o in required))
     options = dict.fromkeys(o for (cmd, _), row in READS.items() if cmd == args.command for o in row)
     unread = [o for o in options if o not in reads and getattr(args, o) not in (None, False)]
     if unread:
         parser.error(f"{args.command} {kind} does not take " + ", ".join(f"--{o}" for o in unread))
-    if args.command == "cumulants" and args.route not in ROUTES[kind]:
-        parser.error(f"cumulants {kind} takes --route " + ", ".join(ROUTES[kind]))
+    if "route" in reads and args.route not in reads["route"]:
+        parser.error(f"{args.command} {kind} takes --route " + ", ".join(reads["route"]))
 
 
 def main(argv=None) -> int:

@@ -31,10 +31,9 @@ def json_lines(text):
 def test_parse_range_forms():
     assert parse_range("3") == [3]
     assert parse_range("1..5") == [1, 2, 3, 4, 5]
-    with pytest.raises(ValueError):
-        parse_range("5..1")
-    with pytest.raises(ValueError):
-        parse_range("0..2")
+    for text in ("5..1", "0..2", "x", "1..x", "x..3", "1.."):
+        with pytest.raises(ValueError, match=rf"^bad order range '{text}'; need 1 <= a <= b$"):
+            parse_range(text)
 
 
 # ------------------------------------------------------------------- count
@@ -493,6 +492,19 @@ def test_series_cauchy(capsys):
     assert set(obj["residual"]) == {"0"}
 
 
+@pytest.mark.parametrize(
+    "kind, option, default",
+    [
+        ("counts", "--order", "12"),
+        ("check", "--order", "12"),
+        ("minverse", "--order", "12"),
+        ("cauchy", "--moments", "8"),
+    ],
+)
+def test_a_series_option_left_out_takes_its_default(capsys, kind, option, default):
+    assert run_cli(capsys, "series", kind) == run_cli(capsys, "series", kind, option, default)
+
+
 # ------------------------------------------------------------------ verify
 
 
@@ -567,6 +579,10 @@ UNREAD = [
         ("cumulants", "quadratic", "--specs", "poisson:1", "--weights", "w.json", "--n", "2"),
         ("--a", "--b"),
     ),
+    (("series", "counts"), ("--moments",)),
+    (("series", "check"), ("--moments",)),
+    (("series", "minverse"), ("--moments",)),
+    (("series", "cauchy"), ("--order",)),
 ]
 VALUES = {
     "--m": ("3",),
@@ -577,6 +593,8 @@ VALUES = {
     "--b": ("gamma",),
     "--specs": ("semicircular",),
     "--weights": ("w.json",),
+    "--order": ("9",),
+    "--moments": ("5",),
 }
 
 

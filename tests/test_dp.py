@@ -2,8 +2,9 @@
 
 Every value is compared exactly with an independent route: the paper's
 partition and cactus-class formulas, the Kreweras product formula, the
-word-expansion oracle, Narayana polynomials and the counting recursion
-for the free Poisson(1) pair."""
+word-expansion oracle, Narayana polynomials, the counting recursion
+for the free Poisson(1) pair, and, far past the oracle, quadratic forms
+whose cumulants follow from the moment-cumulant transforms alone."""
 
 import math
 import random
@@ -17,7 +18,9 @@ from freecactus import (
     WeightMatrix,
     anticommutator_cumulant,
     anticommutator_cumulant_graphwise,
+    cumulants_from_moments,
     free_poisson_pair_cumulants,
+    moments_from_cumulants,
     oracle_quadratic_cumulants,
     product_cumulant,
     quadratic_form_cumulant,
@@ -156,6 +159,45 @@ def test_commutator_of_even_variables_matches_the_anticommutator():
                 assert minus[n - 1] == plus[n - 1] == 0
             else:
                 assert (-1) ** (n // 2) * minus[n - 1] == plus[n - 1]
+
+
+# Quadratic forms that are free sums in disguise: their cumulants at order 30
+# need only moments_from_cumulants and cumulants_from_moments.
+TRANSFORM_ORDER = 30
+
+
+def transform_problem(seed):
+    rng = random.Random(seed)
+    specs = tuple(random_explicit_spec(rng, 8) for _ in range(3))
+    scalars = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3))) for _ in specs]
+    return specs, scalars
+
+
+def test_rank_one_weights_match_the_square_of_a_free_sum():
+    """w = v v^T makes Q = s^2 with s the sum of v_c a_c.  Free cumulants
+    add, kappa_r(s) = sum of v_c^r kappa_r(a_c), and the moments of Q are
+    the even moments of s."""
+    n = TRANSFORM_ORDER
+    specs, v = transform_problem(7)
+    s = CumulantSpec.explicit(
+        [sum(x**r * spec.kappa(r) for x, spec in zip(v, specs)) for r in range(1, 2 * n + 1)]
+    )
+    want = cumulants_from_moments(moments_from_cumulants(s, 2 * n)[1::2])
+    assert want[-1]
+    assert dp_cumulants(specs, WeightMatrix(tuple(tuple(x * y for y in v) for x in v)), n) == want
+
+
+def test_diagonal_weights_match_a_free_sum_of_squares():
+    """Diagonal w makes Q the sum of w_c a_c^2, a sum of free variables:
+    kappa_n(Q) = sum of w_c^n kappa_n(a_c^2), with kappa_n(a_c^2) read from
+    the even moments of a_c."""
+    n = TRANSFORM_ORDER
+    specs, w = transform_problem(8)
+    squares = [cumulants_from_moments(moments_from_cumulants(spec, 2 * n)[1::2]) for spec in specs]
+    want = [sum(x**m * sq[m - 1] for x, sq in zip(w, squares)) for m in range(1, n + 1)]
+    assert want[-1]
+    weights = WeightMatrix(tuple(tuple(x if i == j else 0 for j in range(3)) for i, x in enumerate(w)))
+    assert dp_cumulants(specs, weights, n) == want
 
 
 def test_order_beyond_the_cap_is_refused():
