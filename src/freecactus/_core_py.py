@@ -1,11 +1,11 @@
 """Enumeration hot paths on plain tuples and ints.
 
-These five functions are the innermost loops of the package: streaming
-NC(m), streaming the partitions of NC(2n) with a connected block graph
-from the same recursion, counting NC(m) independently, the pruned level
-scan of the odd-separating family, and the colored-word profile counts
-the oracle sums over.  Wrapping into Partition objects, rational arithmetic and so on
-happens in the calling layers.
+These are the innermost loops of the package: one recursion streaming
+NC(m) under one of three guards (none; the interval guard, for the
+partitions of NC(2n) with a connected block graph; the odd guard, for the
+odd-separating partitions), the level tally of the odd-separating stream,
+an independent count of NC(m), and the colored-word profile counts the
+oracle sums over.  Partition objects, rationals and so on live above.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Iterator
 __all__ = [
     "iter_nc_blocks",
     "iter_connected_blocks",
+    "iter_y_blocks",
     "count_nc",
     "y_level_histogram",
     "word_profile_counts",
@@ -37,7 +38,7 @@ def iter_nc_blocks(m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """
     if m < 0:
         raise ValueError("ground set size must be non-negative")
-    return _nc_of(tuple(range(1, m + 1)), 0, 0)
+    return _nc_of(tuple(range(1, m + 1)), 0, 0, 0)
 
 
 def iter_connected_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -52,20 +53,34 @@ def iter_connected_blocks(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _nc_of(tuple(range(1, 2 * n + 1)), 0, 2 * n)
+    return _nc_of(tuple(range(1, 2 * n + 1)), 0, 2 * n, 0)
+
+
+def iter_y_blocks(m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield the odd-separating partitions of {1..m}, in the order of
+    ``iter_nc_blocks(m)``: no block holds two odd elements, and every
+    even-only block has even size.  The odd guard prunes the others as
+    they form, so the work follows the size of the family, not C_m.
+    """
+    if m < 0:
+        raise ValueError("ground set size must be non-negative")
+    return _nc_of(tuple(range(1, m + 1)), 0, 0, 1)
 
 
 # The recursion partitions an interval ``seq`` as a chain of components:
 # the span of the block of seq[0], then the chain of the rest (a tail
-# call).  The intervals that are unions of blocks are exactly the runs of
-# consecutive components of one chain, and each gap walled off under an arc
-# starts a chain of its own.  With the guard on, m is the ground size 2n
-# and ``lo`` the chain's largest odd component start (0 for none); no
-# component and no chain may then end on an even element while ``lo`` is
-# set, except the whole ground set.  With the guard off, m and lo stay 0.
+# call).  A guard prunes a partial partition that no member extends, so
+# each stream keeps the order of NC(m); with no guard, m, lo and y are 0.
+# Interval guard: the intervals that are unions of blocks are exactly the
+# runs of consecutive components of one chain, and each gap walled off
+# under an arc starts a chain of its own.  m is 2n and ``lo`` the chain's
+# largest odd component start (0 for none); no component and no chain may
+# end on an even element while ``lo`` is set, except the whole ground set.
+# Odd guard: ``y`` is 1 while the open block is even-only and 2 once it
+# holds an odd; no odd joins a block at 2, no block at 1 closes at odd size.
 
 
-def _nc_of(seq, lo, m):
+def _nc_of(seq, lo, m, y):
     if not seq:
         yield ()
         return
@@ -74,21 +89,28 @@ def _nc_of(seq, lo, m):
             lo = seq[0]
         if lo and not seq[-1] & 1 and (lo > 1 or seq[-1] != m):
             return
-    yield from _grow((seq[0],), 0, (), seq[1:], lo, m)
+    if y:
+        y = 2 if seq[0] & 1 else 1
+    yield from _grow((seq[0],), 0, (), seq[1:], lo, m, y)
 
 
-def _grow(block, idx, done, rest, lo, m):
+def _grow(block, idx, done, rest, lo, m, y):
     # Option A: close the block here; the untouched suffix is partitioned
     # on its own.
-    if not lo or block[-1] & 1 or (lo == 1 and block[-1] == m):
-        for tail in _nc_of(rest[idx:], lo, m):
+    refused = lo and not block[-1] & 1 and (lo > 1 or block[-1] != m)
+    if not (refused or y == 1 and len(block) & 1):
+        for tail in _nc_of(rest[idx:], lo, m, y):
             yield (block,) + done + tail
     # Option B: extend the block with rest[j].  The skipped gap rest[idx:j]
     # is then walled off under the new arc and must be partitioned within
     # itself, which is exactly the non-crossing condition.
     for j in range(idx, len(rest)):
-        for gap in _nc_of(rest[idx:j], 0, m):
-            yield from _grow(block + (rest[j],), j + 1, done + gap, rest, lo, m)
+        x = rest[j]
+        if y == 2 and x & 1:
+            continue
+        grown = 2 if y and x & 1 else y
+        for gap in _nc_of(rest[idx:j], 0, m, y):
+            yield from _grow(block + (x,), j + 1, done + gap, rest, lo, m, grown)
 
 
 def count_nc(m: int) -> int:
@@ -119,60 +141,17 @@ def count_nc(m: int) -> int:
 def y_level_histogram(m: int) -> list[int]:
     """Level histogram of the odd-separating partitions of {1..m}.
 
-    Counts non-crossing partitions in which no block contains two odd
-    elements and every block without an odd element has even size.  Entry
-    r of the result counts those with exactly r such even-only blocks
-    (equivalently block count ceil(m/2) + r).  The trailing entry is
-    nonzero; for m = 8 the histogram is [112, 41, 2].
-
-    Implemented as a depth-first scan over the open-block stack with two
-    prunes: an odd element never joins a block that already holds an odd,
-    and a block is refused closure while even-only with odd size.
+    Entry r counts the members of ``iter_y_blocks(m)`` with r even-only
+    blocks, i.e. ceil(m/2) + r blocks.  For m = 8: [112, 41, 2].  r <= m // 4,
+    met by {4i-2, 4i} for i <= m // 4, {m-1, m} if m % 4 > 1, singletons else.
     """
     if m < 1:
         raise ValueError("ground set size must be positive")
-    n_odd = (m + 1) // 2
-    hist: dict[int, int] = {}
-    stack: list[list[int]] = []  # open blocks as [size, has_odd]
-
-    def closable(entry):
-        return entry[1] or entry[0] % 2 == 0
-
-    def rec(e, closed):
-        if e > m:
-            for entry in stack:
-                if not closable(entry):
-                    return
-            level = closed + len(stack) - n_odd
-            hist[level] = hist.get(level, 0) + 1
-            return
-        odd = e % 2
-        # open a fresh block
-        stack.append([1, odd])
-        rec(e + 1, closed)
-        stack.pop()
-        # or join the block at depth i, closing everything above it
-        k = len(stack)
-        for i in range(k - 1, -1, -1):
-            if i < k - 1 and not closable(stack[i + 1]):
-                # a block that cannot close blocks every deeper join too
-                return
-            size, has_odd = stack[i]
-            if odd and has_odd:
-                continue
-            removed = stack[i + 1 :]
-            del stack[i + 1 :]
-            stack[i][0] = size + 1
-            stack[i][1] = has_odd or odd
-            rec(e + 1, closed + len(removed))
-            stack[i][0] = size
-            stack[i][1] = has_odd
-            stack.extend(removed)
-
-    rec(1, 0)
-    if not hist:
-        return []
-    return [hist.get(r, 0) for r in range(max(hist) + 1)]
+    hist = [0] * (m // 4 + 1)
+    odd = (m + 1) // 2
+    for blocks in iter_y_blocks(m):
+        hist[len(blocks) - odd] += 1
+    return hist
 
 
 def word_profile_counts(

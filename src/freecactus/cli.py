@@ -7,12 +7,13 @@ the self-checks of ``freecactus.verify``.  Output defaults to JSON (one
 document per result record); rationals are always rendered as "p/q"
 strings so nothing is ever rounded.  Exit codes: 0 success, 1 a
 verification or route-agreement failure, 2 usage errors, 3 a resource
-cap refused the request."""
+cap refused the request, 141 stdout was closed early."""
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -460,6 +461,10 @@ def main(argv=None) -> int:
     _validate(parser, args)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader left early (``| head``): silence the final flush, exit 128 + SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

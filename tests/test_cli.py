@@ -6,11 +6,15 @@ subprocess test at the bottom proves the installed entry point works."""
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import freecactus
 from freecactus import _core_py
 from freecactus.cli import main, parse_range
 
@@ -641,9 +645,11 @@ def test_cap_exits_three(capsys):
 
 @pytest.fixture
 def started(monkeypatch):
-    """Ground sizes of the NC streams started, plain or connected, in order."""
+    """Ground sizes of the NC streams started, plain, connected or
+    odd-separating, in order."""
     sizes = []
     plain, connected = _core_py.iter_nc_blocks, _core_py.iter_connected_blocks
+    odd_separating = _core_py.iter_y_blocks
 
     def record_plain(m):
         sizes.append(m)
@@ -653,8 +659,13 @@ def started(monkeypatch):
         sizes.append(2 * n)
         return connected(n)
 
+    def record_odd_separating(m):
+        sizes.append(m)
+        return odd_separating(m)
+
     monkeypatch.setattr(_core_py, "iter_nc_blocks", record_plain)
     monkeypatch.setattr(_core_py, "iter_connected_blocks", record_connected)
+    monkeypatch.setattr(_core_py, "iter_y_blocks", record_odd_separating)
     return sizes
 
 
@@ -728,6 +739,25 @@ def test_missing_weights_file_exits_two(capsys, tmp_path):
 
 
 # ------------------------------------------------------------- entry point
+
+
+def test_a_closed_stdout_exits_141_in_silence():
+    # As in `enumerate partitions --m 12 | head -2`: the reader leaves after
+    # two lines, which is a closed pipe, not a usage error.
+    env = dict(os.environ, PYTHONPATH=str(Path(freecactus.__file__).parents[1]))
+    argv = ["enumerate", "partitions", "--m", "12", "--format", "table"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freecactus.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 141
+    assert lines == [b"1|2|3|4|5|6|7|8|9|10|11|12\n", b"1|2|3|4|5|6|7|8|9|10|11 12\n"]
+    assert err == b""
 
 
 def test_installed_entry_point_runs():

@@ -336,6 +336,18 @@ def test_graded_recursion_matches_the_level_scan(m):
     assert y_level_counts(m) == level_counts(m)
 
 
+@pytest.mark.parametrize("m", range(1, 13))
+def test_the_pruned_y_stream_is_the_filtered_nc_stream(m):
+    filtered = [p for p in enumerate_nc(m) if y_membership(p) is not None]
+    assert [p.blocks for p in enumerate_y(m)] == [p.blocks for p in filtered]
+    hist = [0] * (m // 4 + 1)
+    for p in filtered:
+        hist[y_membership(p).level] += 1
+    while not hist[-1]:
+        hist.pop()
+    assert level_counts(m) == hist
+
+
 def test_level_counts_cap():
     with pytest.raises(ResourceCapError):
         level_counts(17)
