@@ -12,6 +12,7 @@ cap refused the request, 141 stdout was closed early."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -127,12 +128,13 @@ def _emit_value(value, fmt: str) -> None:
         print(value)
 
 
-def _emit_records(records: list[dict], fmt: str) -> None:
+def _emit_records(records, fmt: str) -> None:
+    """JSON records print as they stream; a table needs all the widths."""
     if fmt == "json":
         for record in records:
             print(json.dumps(record))
     else:
-        print(_render_table(records))
+        print(_render_table(list(records)))
 
 
 def _emit_object(obj: dict, fmt: str) -> None:
@@ -178,13 +180,13 @@ def cmd_enumerate(args) -> int:
         # A member of Y(m) has one block per odd element plus its even-only
         # blocks, so its level is its block count less (m + 1) // 2.
         odd = (args.m + 1) // 2
-        records = [
+        records = (
             {
                 "partition": p.to_json_obj() if args.format == "json" else p.to_text(),
                 "level": len(p) - odd,
             }
             for p in enumerate_y(args.m, cap=args.cap)
-        ]
+        )
         _emit_records(records, args.format)
         return 0
     # The one listing of class members: the cactus of each class's first
@@ -350,6 +352,7 @@ def _kinds(command: str) -> tuple[str, ...]:
     return tuple(kind for cmd, kind in READS if cmd == command)
 
 
+@functools.cache  # parsing leaves the parser unchanged: one per process
 def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument(

@@ -11,7 +11,8 @@ over partitions or over oriented cactus classes, evaluates one colored sum
 on the ``OrientedCactus`` of one walk, ``cactus.canonical_outercycle``:
 its degrees and its edges.  The class routes read one cactus per class
 from ``enumerate_oriented_cacti`` and weight it by the 2^f_C class size,
-so no route keeps a class's member partitions.
+so no route keeps a class's member partitions.  ``integer_tables`` alone
+scales: every cactus route, and ``dp``, sums ints and divides once per order.
 
 A brute-force oracle lives here too.  It knows nothing about those
 formulas: it expands powers of the expression into words, computes each
@@ -223,10 +224,26 @@ def kappa_pi(p: Partition, word: Sequence[int], specs: Sequence[CumulantSpec]) -
     return total
 
 
+def integer_tables(
+    specs: Sequence[CumulantSpec], weights: WeightMatrix, top: int
+) -> tuple[list[list[int]], list[list[int]], int]:
+    """The one exact scaling behind the dp and every cactus sum.  With D the
+    lcm of the denominators of kappa_1..kappa_top over ``specs`` and E that
+    of the weights: the rows kappa_r(a_c) D^r (row c, r = 0..top, zero at
+    r = 0), the weights w E and the scale D^2 E.  A term of order n has
+    block sizes summing to 2n and n weights: an int over scale^n."""
+    rows = [[Fraction(0)] + [spec.kappa(r) for r in range(1, top + 1)] for spec in specs]
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    e = math.lcm(*(x.denominator for row in weights.entries for x in row))
+    kappa = [[x.numerator * d**r // x.denominator for r, x in enumerate(row)] for row in rows]
+    ints = [[x.numerator * e // x.denominator for x in row] for row in weights.entries]
+    return kappa, ints, d * d * e
+
+
 # ------------------------------------------------ moment-cumulant conversion
 
 
-def _moment_cumulant_walk(known: Sequence, from_moments: bool) -> list[Fraction]:
+def _moment_cumulant_walk(known: Sequence, from_moments: bool) -> list:
     """Walk m_n = kappa_n + sum over k < n of kappa_k [z^(n-k)] M(z)^k for
     n = 1..N, with M the moment series including m_0 = 1, and return the
     side that was not given.
@@ -234,20 +251,20 @@ def _moment_cumulant_walk(known: Sequence, from_moments: bool) -> list[Fraction]
     ``powers[k][j]`` holds [z^j] M(z)^k.  Order n adds the antidiagonal
     k + j = n for 1 < k < n, which needs only moments below n, so one pass
     solves for m_n or kappa_n; the work is O(N^3).  ``powers[1]`` is the
-    moment list itself.
+    moment list itself.  The unknown has coefficient 1, so the walk never
+    divides, and it is homogeneous: ints scaled by s^n give ints scaled so.
     """
-    moments = [Fraction(1)]
-    kappas: list[Fraction] = []
+    moments = [1]
+    kappas = []
     powers = [None, moments]
     for n, value in enumerate(known, start=1):
-        lower = Fraction(0)
+        lower = 0
         for k in range(1, n):
             j = n - k
             if k > 1:
                 prev = powers[k - 1]
                 powers[k].append(sum(prev[i] * moments[j - i] for i in range(j + 1)))
             lower += kappas[k - 1] * powers[k][j]
-        value = Fraction(value)
         if from_moments:
             moments.append(value)
             kappas.append(value - lower)
@@ -255,7 +272,7 @@ def _moment_cumulant_walk(known: Sequence, from_moments: bool) -> list[Fraction]
             kappas.append(value)
             moments.append(value + lower)
         if n > 1:
-            powers.append([Fraction(1)])
+            powers.append([1])
     return kappas if from_moments else moments[1:]
 
 
@@ -276,7 +293,7 @@ def cumulants_from_moments(moments: Sequence) -> list[Fraction]:
     """Invert the moment recursion: cumulants kappa_1..kappa_N from
     moments m_1..m_N.  Exact, and mutually inverse with
     ``moments_from_cumulants``."""
-    return _moment_cumulant_walk(moments, True)
+    return _moment_cumulant_walk([Fraction(m) for m in moments], True)
 
 
 # --------------------------------------------------------- closed formulas
@@ -308,14 +325,14 @@ def anticommutator_cumulant(
     contributes the a/b block product plus the same with a and b
     exchanged.
     """
-    total = Fraction(0)
-    for sigma in enumerate_y(2 * n, cap=cap):
+    stream = enumerate_y(2 * n, cap=cap)
+    kappa, w, scale = integer_tables((a, b), ANTICOMMUTATOR_WEIGHTS, 2 * n)
+    total = 0
+    for sigma in stream:
         cactus = canonical_outercycle(kreweras(sigma))
-        assert cactus.bipartition is not None, (
-            "complement of an odd-separating partition"
-        )
-        total += _colored_sum(cactus, (a, b), ANTICOMMUTATOR_WEIGHTS)
-    return total
+        assert cactus.bipartition is not None, "complement of an odd-separating partition"
+        total += _colored_sum(cactus, kappa, w)
+    return Fraction(total, scale**n)
 
 
 def anticommutator_cumulant_graphwise(
@@ -324,10 +341,8 @@ def anticommutator_cumulant_graphwise(
     """kappa_n(ab + ba) by the cactus-class formula: over bipartite
     oriented cactus classes with n edges, 2^f_C times the colored sum at
     the weights of ab + ba.  Must agree with the partition route."""
-    total = Fraction(0)
-    for rep in enumerate_oriented_cacti(n, bipartite_only=True, cap=cap).values():
-        total += 2**rep.f_c * _colored_sum(rep, (a, b), ANTICOMMUTATOR_WEIGHTS)
-    return total
+    classes = enumerate_oriented_cacti(n, bipartite_only=True, cap=cap).values()
+    return _cactus_sum(((2**rep.f_c, rep) for rep in classes), (a, b), ANTICOMMUTATOR_WEIGHTS, n)
 
 
 def semicircular_anticommutator(
@@ -384,39 +399,22 @@ def even_anticommutator(
     return 2 * total
 
 
-def _colored_sum(
-    cactus: OrientedCactus, specs: Sequence[CumulantSpec], weights: WeightMatrix
-) -> Fraction:
+def _colored_sum(cactus: OrientedCactus, kappa: list[list[int]], weights: list[list[int]]) -> int:
     """Sum over all vertex colorings of one cactus: the edge weight product
-    times the per-vertex cumulants of the colored specs at the vertex
-    degrees.  The weights must be symmetric, as they are at every caller,
+    times the per-vertex cumulants of the colored variables at the vertex
+    degrees, on ``integer_tables``: an int, scale^n times the sum for n
+    edges.  The weights must be symmetric, as they are at every caller,
     since ``renumbered_edges`` reports an edge in either direction.
 
     Colors are chosen depth first, vertex by vertex, and the partial
     product is carried down: vertex t brings its cumulant and the weight of
     each edge whose later endpoint is t.  A zero factor prunes every
-    coloring below it.  Each vertex's cumulants are scaled to integers by
-    the lcm of their denominators, and the weights likewise, so every term
-    shares one denominator and the walk runs on ints.
+    coloring below it.
     """
-    weight_den = math.lcm(*(w.denominator for row in weights.entries for w in row))
-    scaled_weights = [
-        [w.numerator * (weight_den // w.denominator) for w in row]
-        for row in weights.entries
-    ]
-    edges = cactus.renumbered_edges()
-    denominator = weight_den ** len(edges)
-    kappas = []
-    for size in cactus.degrees:
-        row = [spec.kappa(size) for spec in specs]
-        den = math.lcm(*(f.denominator for f in row))
-        denominator *= den
-        kappas.append(
-            [(c, f.numerator * (den // f.denominator)) for c, f in enumerate(row) if f]
-        )
+    kappas = [[(c, row[s]) for c, row in enumerate(kappa) if row[s]] for s in cactus.degrees]
     vertex_count = cactus.vertex_count
     closing: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
-    for u, v in edges:
+    for u, v in cactus.renumbered_edges():
         closing[max(u, v)].append((u, v))
     coloring = [0] * vertex_count
     total = 0
@@ -430,7 +428,7 @@ def _colored_sum(
             coloring[t] = c
             term = partial * f
             for u, v in closing[t]:
-                w = scaled_weights[coloring[u]][coloring[v]]
+                w = weights[coloring[u]][coloring[v]]
                 if w == 0:
                     break
                 term *= w
@@ -438,7 +436,14 @@ def _colored_sum(
                 extend(t + 1, term)
 
     extend(0, 1)
-    return Fraction(total, denominator)
+    return total
+
+
+def _cactus_sum(sized, specs: Sequence[CumulantSpec], weights: WeightMatrix, n: int) -> Fraction:
+    """Size times the colored sum over the (size, cactus) pairs of ``sized``,
+    cacti with n edges, divided once.  Streams start, and check caps, first."""
+    kappa, w, scale = integer_tables(specs, weights, 2 * n)
+    return Fraction(sum(size * _colored_sum(c, kappa, w) for size, c in sized), scale**n)
 
 
 def quadratic_form_cumulant(
@@ -467,16 +472,12 @@ def quadratic_form_cumulant(
             )
     weights.check_specs(specs)
     if route == "partition":
-        total = Fraction(0)
-        for p in enumerate_connected(n, cap=cap):
-            total += _colored_sum(canonical_outercycle(p), specs, weights)
-        return total
-    if route == "graph":
-        total = Fraction(0)
-        for rep in enumerate_oriented_cacti(n, cap=cap).values():
-            total += 2**rep.f_c * _colored_sum(rep, specs, weights)
-        return total
-    raise ValueError(f"route must be 'partition' or 'graph', got {route!r}")
+        sized = ((1, canonical_outercycle(p)) for p in enumerate_connected(n, cap=cap))
+    elif route == "graph":
+        sized = ((2**rep.f_c, rep) for rep in enumerate_oriented_cacti(n, cap=cap).values())
+    else:
+        raise ValueError(f"route must be 'partition' or 'graph', got {route!r}")
+    return _cactus_sum(sized, specs, weights, n)
 
 
 def free_poisson_anticommutator_polynomial(n: int, cap: int | None = None) -> list[int]:

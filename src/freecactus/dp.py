@@ -32,6 +32,10 @@ for F, and one table of length 2 n_max gives every moment up to n_max at
 once.  The tables are filled bottom-up by length: no recursion and no
 cache outliving the call.
 
+The tables hold ints: ``cumulants.integer_tables`` scales kappa_r by D^r
+and the weights by E, so m_n is an int over (D^2 E)^n.  The moment-cumulant
+walk runs on those ints, and each order is divided once at the end.
+
 ab + ba, as + sa (specs a, semicircular), ab and every quadratic form
 differ only in the ``WeightMatrix``, which may be asymmetric, as for the
 commutator ab - ba: ``ANTICOMMUTATOR_WEIGHTS`` and ``PRODUCT_WEIGHTS`` in
@@ -43,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from freecactus.cumulants import CumulantSpec, WeightMatrix, cumulants_from_moments
+from freecactus.cumulants import CumulantSpec, WeightMatrix, _moment_cumulant_walk, integer_tables
 from freecactus.errors import check_cap
 
 DEFAULT_DP_CAP = 60
@@ -67,17 +71,14 @@ def dp_cumulants(
         raise ValueError("cumulant orders start at 1")
     check_cap(2 * n_max, cap, DEFAULT_DP_CAP, f"dp order {n_max} (ground set {2 * n_max})")
     weights.check_specs(specs)
-    w, k = weights.entries, weights.k
-
-    size = 2 * n_max
+    k, size = weights.k, 2 * n_max
     colors = range(k)
-    zero, one = Fraction(0), Fraction(1)
-    kappa = [[zero] + [spec.kappa(r) for r in range(1, size + 1)] for spec in specs]
+    kappa, w, scale = integer_tables(specs, weights, size)
     # Every table is indexed [length][parity of the start position i].  At
     # parity 0 (i even) the pair (i - 1, i) straddles the left end: a
     # factor w[cl][c] once the color c of i is known.  The empty interval
     # carries the same pair, between its two neighbors.
-    left = [[[w[cl][c] if par == 0 else one for c in colors] for cl in colors] for par in (0, 1)]
+    left = [[[w[cl][c] if par == 0 else 1 for c in colors] for cl in colors] for par in (0, 1)]
     f = [left]  # f[length][parity][cl][cr]
     h = [None]  # h[length][parity][c][r]: block walks with r elements
     closed = [None]  # closed[length][parity][c]: sum over r of kappa_r * walk
@@ -88,9 +89,9 @@ def dp_cumulants(
         for par in (0, 1):
             walks, ends = [], []
             for c in colors:
-                walk = [zero] * (length + 1)
+                walk = [0] * (length + 1)
                 if length == 1:
-                    walk[1] = one
+                    walk[1] = 1
                 for last in range(1, length):
                     gap = f[length - last - 1][(par + last) % 2][c][c]
                     if gap:
@@ -98,12 +99,12 @@ def dp_cumulants(
                             if value:
                                 walk[r + 1] += value * gap
                 walks.append(walk)
-                ends.append(sum((kappa[c][r] * x for r, x in enumerate(walk) if x), zero))
+                ends.append(sum(kappa[c][r] * x for r, x in enumerate(walk) if x))
             h[length][par] = walks
             closed[length][par] = ends
             # tails[c][cr]: the block of i has color c and closes after
             # `first` positions; the rest of the interval is its tail.
-            tails = [[zero] * k for _ in colors]
+            tails = [[0] * k for _ in colors]
             for c in colors:
                 for first in range(1, length + 1):
                     block = closed[first][par][c]
@@ -112,8 +113,9 @@ def dp_cumulants(
                         for cr in colors:
                             tails[c][cr] += block * rest[cr]
             f[length][par] = [
-                [sum((left[par][cl][c] * tails[c][cr] for c in colors), zero) for cr in colors]
+                [sum(left[par][cl][c] * tails[c][cr] for c in colors) for cr in colors]
                 for cl in colors
             ]
     # An interval [1..2n] starts odd and ends even: no pair straddles it.
-    return cumulants_from_moments([f[2 * n][1][0][0] for n in range(1, n_max + 1)])
+    kappas = _moment_cumulant_walk([f[2 * n][1][0][0] for n in range(1, n_max + 1)], True)
+    return [Fraction(x, scale**n) for n, x in enumerate(kappas, start=1)]

@@ -8,7 +8,7 @@ the generator.  Every check has fixed sizes inside the default caps.  The
 interval DP is the reference for every paper formula and series identity;
 the two routes_agree checks tie the DP itself to the partition route, the
 graph route and the word-expansion oracle, and the series checks tie it to
-the counting recursion.
+the counting recursion.  Each series check runs a DP of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 
 from freecactus import cactus as cactus_mod
 from freecactus.cumulants import (
@@ -192,16 +191,10 @@ def rate_polynomial(rng: random.Random) -> str:
     return "rate polynomial of the level scan vs dp, n <= 4"
 
 
-@lru_cache(maxsize=1)
-def _poisson_pair_to_nine() -> tuple[Fraction, ...]:
-    one = CumulantSpec.free_poisson(1)
-    return tuple(dp_cumulants((one, one), ANTICOMMUTATOR_WEIGHTS, 9))
-
-
 def _poisson_pair(n_max: int) -> list[Fraction]:
-    """kappa_n(ab + ba) to n_max <= 9, free Poisson(1) a and b, by DP, not the
-    counting recursion: a fresh list cut from the one DP of the suite run."""
-    return list(_poisson_pair_to_nine()[:n_max])
+    """kappa_n(ab + ba) to n_max for free Poisson(1) a and b, by dp, not the counting recursion."""
+    one = CumulantSpec.free_poisson(1)
+    return dp_cumulants((one, one), ANTICOMMUTATOR_WEIGHTS, n_max)
 
 
 def functional_equations(rng: random.Random) -> str:
@@ -254,8 +247,6 @@ def run_suite(suite: str = "all", seed: int = 1729) -> dict:
     """Run one suite, or all in table order, and return the summary; a
     failing check records its detail and the rest still run."""
     rng = random.Random(seed)
-    # Each run checks a DP of its own, not one cached by an earlier run.
-    _poisson_pair_to_nine.cache_clear()
     results = [
         _run_check(f"{name}.{check.__name__}", check, rng)
         for name in (SUITES if suite == "all" else (suite,))

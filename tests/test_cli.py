@@ -16,7 +16,9 @@ import pytest
 
 import freecactus
 from freecactus import _core_py
-from freecactus.cli import main, parse_range
+from freecactus.cli import build_parser, main, parse_range
+from freecactus.cumulants import ANTICOMMUTATOR_WEIGHTS, format_rational, parse_spec
+from freecactus.dp import dp_cumulants
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +116,27 @@ def test_enumerate_partitions_prints_while_it_streams(capsys, monkeypatch):
     with pytest.raises(RuntimeError, match="stream broken"):
         main(["enumerate", "partitions", "--m", "3", "--format", "table"])
     assert capsys.readouterr().out.splitlines() == ["1|2|3", "1|2 3", "1 2|3"]
+
+
+def test_enumerate_y_prints_while_it_streams(capsys, monkeypatch):
+    # The JSON records of Y(m) are printed one by one, as the partitions
+    # of enumerate partitions are: three members in, three lines are out.
+    plain = _core_py.iter_y_blocks
+
+    def breaks_after_three(m):
+        for i, blocks in enumerate(plain(m)):
+            if i == 3:
+                raise RuntimeError("stream broken")
+            yield blocks
+
+    monkeypatch.setattr(_core_py, "iter_y_blocks", breaks_after_three)
+    with pytest.raises(RuntimeError, match="stream broken"):
+        main(["enumerate", "y", "--m", "4"])
+    assert json_lines(capsys.readouterr().out) == [
+        {"partition": [[1], [2, 3, 4]], "level": 0},
+        {"partition": [[1], [2, 4], [3]], "level": 1},
+        {"partition": [[1, 2], [3, 4]], "level": 0},
+    ]
 
 
 def test_enumerate_y_carries_levels(capsys):
@@ -683,6 +706,31 @@ def test_a_refused_paper_route_starts_no_stream(capsys, started, route):
     assert [r["n"] for r in json_lines(out)] == [1, 2, 3, 4]
     per_order = [8, 6, 4, 2]
     assert started == (per_order if route != "both" else [8, 8, 6, 6, 4, 4, 2, 2])
+
+
+def test_main_calls_leak_no_state(capsys, started):
+    # One parser serves every main call of the process; an option set by
+    # one request must not reach the next.
+    assert build_parser() is build_parser()
+    argv = ("cumulants", "anticommutator", "--a", "cumulants:[1,1/2,-1]", "--b", "poisson:2")
+    argv += ("--n", "1..3")
+    code, paper, _err = run_cli(capsys, *argv, "--route", "partition")
+    assert (code, started) == (0, [6, 4, 2])
+    started.clear()
+    code, out, _err = run_cli(capsys, *argv)
+    assert (code, started) == (0, [])
+    specs = (parse_spec("cumulants:[1,1/2,-1]"), parse_spec("poisson:2"))
+    fresh = dp_cumulants(specs, ANTICOMMUTATOR_WEIGHTS, 3)
+    assert json_lines(out) == [{"n": n, "kappa": format_rational(k)} for n, k in enumerate(fresh, 1)]
+    assert out == paper
+    code, out, _err = run_cli(capsys, "count", "y", "--m", "5")
+    assert (code, out) == (0, "9\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "y", "--m", "5", "--cap", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "count y does not take --cap" in err
 
 
 def test_a_refused_cacti_count_starts_no_stream(capsys, started):

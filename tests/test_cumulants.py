@@ -45,6 +45,7 @@ from freecactus import (
 from freecactus.cactus import build_graph, canonical_outercycle, enumerate_oriented_cacti
 from freecactus.cumulants import (
     _colored_sum,
+    integer_tables,
     oracle_quadratic_moments,
     random_explicit_spec,
 )
@@ -274,6 +275,27 @@ def test_conversion_edge_orders():
     assert cumulants_from_moments([]) == []
     with pytest.raises(ValueError):
         moments_from_cumulants(fp1(), -1)
+
+
+def test_conversion_returns_fractions_on_int_moments():
+    # The walk runs on whatever it is given; the public wrapper coerces.
+    kappas = cumulants_from_moments([1, 2, 5])
+    assert kappas == [1, 1, 1]
+    assert all(type(x) is Fraction for x in kappas)
+
+
+def test_integer_tables_scale_each_order_by_its_power():
+    a = CumulantSpec.explicit([Fraction(1, 2), Fraction(-2, 3), 3])
+    b = CumulantSpec.explicit([Fraction(5, 4)])
+    weights = WeightMatrix(((0, Fraction(1, 2)), (Fraction(3, 5), 7)))
+    kappa, w, scale = integer_tables((a, b), weights, 4)
+    d, e = 12, 10
+    assert scale == d * d * e
+    for row, spec in zip(kappa, (a, b)):
+        assert row[0] == 0
+        assert row[1:] == [spec.kappa(r) * d**r for r in range(1, 5)]
+        assert all(type(x) is int for x in row)
+    assert w == [[0, 5], [6, 70]]
 
 
 @given(
@@ -542,12 +564,13 @@ def test_colored_sum_matches_the_brute_force_sum(k):
             first_members.setdefault(canonical_outercycle(p).signature, p)
     for weights in weight_sets:
         for n in range(1, 5):
+            kappa, w, scale = integer_tables(specs, weights, 2 * n)
             for signature, rep in enumerate_oriented_cacti(n).items():
                 g = build_graph(first_members[signature])
                 want = bruteforce.colored_sum(
                     g.vertex_count, g.edges, g.vertex_degrees, specs, weights.entries
                 )
-                assert _colored_sum(rep, specs, weights) == want
+                assert Fraction(_colored_sum(rep, kappa, w), scale**n) == want
 
 
 def test_quadratic_argument_validation():

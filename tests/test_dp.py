@@ -109,6 +109,15 @@ def test_free_poisson_pair_matches_counting_recursion():
     assert dp_cumulants((one, one), ANTICOMMUTATOR_WEIGHTS, 15) == free_poisson_pair_cumulants(15)
 
 
+@pytest.mark.parametrize("integral", (True, False))
+def test_dp_returns_fractions(integral):
+    # The tables run on ints; every order is divided back into a Fraction,
+    # also where the value is an integer.
+    spec = CumulantSpec.free_poisson(1 if integral else Fraction(2, 3))
+    kappas = dp_cumulants((spec, spec), ANTICOMMUTATOR_WEIGHTS, 5)
+    assert all(type(x) is Fraction for x in kappas)
+
+
 def test_asymmetric_weights_are_accepted_by_dp_only():
     one = CumulantSpec.free_poisson(1)
     # kappa_n(ab) for free Poisson(1) variables: the Catalan numbers.
