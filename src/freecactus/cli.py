@@ -85,28 +85,35 @@ def _is_numeric_cell(value) -> bool:
     return isinstance(value, str) and bool(_NUMERIC.match(value))
 
 
-def _render_table(rows: list[dict]) -> str:
+def _table_lines(rows):
     """Aligned columns: integers and rationals right-aligned, everything
-    else left-aligned, nothing abbreviated."""
-    if not rows:
-        return ""
-    headers = list(rows[0])
-    cells = [[_cell_text(r.get(h)) for h in headers] for r in rows]
-    widths = [
-        max(len(h), *(len(row[i]) for row in cells)) for i, h in enumerate(headers)
-    ]
-    numeric = [
-        all(_is_numeric_cell(r.get(h)) for r in rows) for h in headers
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()
-    ]
-    for row in cells:
-        parts = []
-        for i, text in enumerate(row):
-            parts.append(text.rjust(widths[i]) if numeric[i] else text.ljust(widths[i]))
-        lines.append("  ".join(parts).rstrip())
-    return "\n".join(lines)
+    else left-aligned, nothing abbreviated.  ``rows`` is iterated twice:
+    once for the widths and numeric flags, once for the lines."""
+    headers = None
+    for r in rows:
+        if headers is None:
+            headers = list(r)
+            widths, numeric = [len(h) for h in headers], [True] * len(headers)
+        for i, h in enumerate(headers):
+            widths[i] = max(widths[i], len(_cell_text(r.get(h))))
+            numeric[i] = numeric[i] and _is_numeric_cell(r.get(h))
+    if headers is None:
+        yield ""
+        return
+    yield "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()
+    for r in rows:
+        cells = zip((_cell_text(r.get(h)) for h in headers), widths, numeric)
+        yield "  ".join(t.rjust(w) if num else t.ljust(w) for t, w, num in cells).rstrip()
+
+
+class _Replay:
+    """A stream that starts afresh on every pass, for a table to measure."""
+
+    def __init__(self, start):
+        self.start = start
+
+    def __iter__(self):
+        return iter(self.start())
 
 
 def _cell_text(value) -> str:
@@ -129,12 +136,10 @@ def _emit_value(value, fmt: str) -> None:
 
 
 def _emit_records(records, fmt: str) -> None:
-    """JSON records print as they stream; a table needs all the widths."""
-    if fmt == "json":
-        for record in records:
-            print(json.dumps(record))
-    else:
-        print(_render_table(list(records)))
+    """JSON records print as they stream.  A table iterates ``records``
+    twice, widths first: pass a list, or a ``_Replay`` to stream it."""
+    for line in map(json.dumps, records) if fmt == "json" else _table_lines(records):
+        print(line)
 
 
 def _emit_object(obj: dict, fmt: str) -> None:
@@ -180,13 +185,13 @@ def cmd_enumerate(args) -> int:
         # A member of Y(m) has one block per odd element plus its even-only
         # blocks, so its level is its block count less (m + 1) // 2.
         odd = (args.m + 1) // 2
-        records = (
+        records = _Replay(lambda: (
             {
                 "partition": p.to_json_obj() if args.format == "json" else p.to_text(),
                 "level": len(p) - odd,
             }
             for p in enumerate_y(args.m, cap=args.cap)
-        )
+        ))
         _emit_records(records, args.format)
         return 0
     # The one listing of class members: the cactus of each class's first
@@ -313,7 +318,7 @@ def cmd_verify(args) -> int:
             {"check": r["name"], "pass": r["pass"], "detail": r.get("detail", "")}
             for r in summary["checks"]
         ]
-        print(_render_table(rows))
+        _emit_records(rows, "table")
         print(f"{summary['passed']} passed, {summary['failed']} failed")
     return 0 if not summary["failures"] else 1
 

@@ -13,6 +13,8 @@ its degrees and its edges.  The class routes read one cactus per class
 from ``enumerate_oriented_cacti`` and weight it by the 2^f_C class size,
 so no route keeps a class's member partitions.  ``integer_tables`` alone
 scales: every cactus route, and ``dp``, sums ints and divides once per order.
+The series layer and the moment-cumulant conversions scale through the same
+``lift``: ints over one denominator, each coefficient divided once.
 
 A brute-force oracle lives here too.  It knows nothing about those
 formulas: it expands powers of the expression into words, computes each
@@ -224,6 +226,13 @@ def kappa_pi(p: Partition, word: Sequence[int], specs: Sequence[CumulantSpec]) -
     return total
 
 
+def lift(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The one scaling rule: the integer numerators of ``values`` over d,
+    the lcm of their denominators, and d itself (1 for no values)."""
+    d = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
 def integer_tables(
     specs: Sequence[CumulantSpec], weights: WeightMatrix, top: int
 ) -> tuple[list[list[int]], list[list[int]], int]:
@@ -232,12 +241,12 @@ def integer_tables(
     of the weights: the rows kappa_r(a_c) D^r (row c, r = 0..top, zero at
     r = 0), the weights w E and the scale D^2 E.  A term of order n has
     block sizes summing to 2n and n weights: an int over scale^n."""
-    rows = [[Fraction(0)] + [spec.kappa(r) for r in range(1, top + 1)] for spec in specs]
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    e = math.lcm(*(x.denominator for row in weights.entries for x in row))
-    kappa = [[x.numerator * d**r // x.denominator for r, x in enumerate(row)] for row in rows]
-    ints = [[x.numerator * e // x.denominator for x in row] for row in weights.entries]
-    return kappa, ints, d * d * e
+    flat, d = lift([spec.kappa(r) for spec in specs for r in range(1, top + 1)])
+    rows = (flat[c : c + top] for c in range(0, len(flat), top))
+    kappa = [[0] + [x * d**r for r, x in enumerate(row)] for row in rows]
+    flat, e = lift([x for row in weights.entries for x in row])
+    k = weights.k
+    return kappa, [flat[i : i + k] for i in range(0, k * k, k)], d * d * e
 
 
 # ------------------------------------------------ moment-cumulant conversion
@@ -286,14 +295,22 @@ def moments_from_cumulants(spec: CumulantSpec, n_max: int) -> list[Fraction]:
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    return _moment_cumulant_walk([spec.kappa(n) for n in range(1, n_max + 1)], False)
+    return _scaled_walk([spec.kappa(n) for n in range(1, n_max + 1)], False)
 
 
 def cumulants_from_moments(moments: Sequence) -> list[Fraction]:
     """Invert the moment recursion: cumulants kappa_1..kappa_N from
     moments m_1..m_N.  Exact, and mutually inverse with
     ``moments_from_cumulants``."""
-    return _moment_cumulant_walk([Fraction(m) for m in moments], True)
+    return _scaled_walk([Fraction(m) for m in moments], True)
+
+
+def _scaled_walk(known: Sequence[Fraction], from_moments: bool) -> list[Fraction]:
+    """The walk on ints: order n of ``known`` scaled by D^n, with D from
+    ``lift``, and each result divided by D^n once."""
+    ints, d = lift(known)
+    walked = _moment_cumulant_walk([x * d**n for n, x in enumerate(ints)], from_moments)
+    return [Fraction(x, d**n) for n, x in enumerate(walked, start=1)]
 
 
 # --------------------------------------------------------- closed formulas

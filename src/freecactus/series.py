@@ -6,11 +6,14 @@ A TruncatedSeries carries coefficients c_0..c_N for a fixed order N and
 every operation stays exact: results of binary operations carry the
 minimum order of the operands, compositional inverses are extracted
 coefficient by coefficient, and square roots branch to the positive
-constant term.  On top of that sit the series pair (A, B) counting the
-odd-separating partitions by parity, residual checks for the four
-functional equations tying them together, the closed form of the inverted
-moment series, and the degree-six polynomial satisfied by the Cauchy
-transform."""
+constant term.  Products, quotients and square roots lift each operand
+once, by ``cumulants.lift``, to integer numerators over one denominator,
+run their loops on ints and divide each coefficient once; composition and
+inversion inherit that through the product.  On top of that sit the series
+pair (A, B) counting the odd-separating partitions by parity, residual
+checks for the four functional equations tying them together, the closed
+form of the inverted moment series, and the degree-six polynomial
+satisfied by the Cauchy transform."""
 
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from typing import NamedTuple, Sequence
 from freecactus.cumulants import (
     CumulantSpec,
     format_rational,
+    lift,
     moments_from_cumulants,
 )
 
@@ -38,7 +42,7 @@ class TruncatedSeries:
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("series order must be non-negative")
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         if len(coeffs) != self.order + 1:
             raise ValueError(
                 f"order {self.order} needs {self.order + 1} coefficients, "
@@ -152,17 +156,17 @@ class TruncatedSeries:
         if other is None:
             return NotImplemented
         a, b, n = self._aligned(other)
+        (xs, da), (ys, db) = lift(a.coeffs), lift(b.coeffs)
         # Loop over the sparser operand, so scalar and monomial factors cost
         # O(n) on either side.
-        if sum(1 for c in b.coeffs if c) < sum(1 for c in a.coeffs if c):
-            a, b = b, a
-        out = [Fraction(0)] * (n + 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += x * b.coeffs[j]
-        return TruncatedSeries(n, tuple(out))
+        if sum(1 for c in ys if c) < sum(1 for c in xs if c):
+            xs, ys = ys, xs
+        out = [0] * (n + 1)
+        for i, x in enumerate(xs):
+            if x:
+                for j in range(n + 1 - i):
+                    out[i + j] += x * ys[j]
+        return TruncatedSeries(n, tuple(Fraction(c, da * db) for c in out))
 
     __rmul__ = __mul__
 
@@ -183,13 +187,16 @@ class TruncatedSeries:
             raise ValueError(
                 f"series division needs a unit divisor, got c_0 = 0"
             )
-        out = [Fraction(0)] * (n + 1)
+        (xs, dx), (ys, dy) = lift(a.coeffs), lift(b.coeffs)
+        # u_k = out_k y_0^(k+1) dx / dy is an int: the recursion never divides.
+        powers = [ys[0] ** k for k in range(n + 2)]
+        u = []
         for k in range(n + 1):
-            acc = a.coeffs[k]
+            acc = xs[k] * powers[k]
             for i in range(1, k + 1):
-                acc -= b.coeffs[i] * out[k - i]
-            out[k] = acc / b.coeffs[0]
-        return TruncatedSeries(n, tuple(out))
+                acc -= ys[i] * u[k - i] * powers[i - 1]
+            u.append(acc)
+        return TruncatedSeries(n, tuple(Fraction(x * dy, dx * p) for x, p in zip(u, powers[1:])))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -263,14 +270,15 @@ class TruncatedSeries:
             raise ValueError(
                 f"series sqrt needs c_0 to be a rational square, got c_0 = {c0}"
             )
-        root = Fraction(rn, rd)
-        out = [root] + [Fraction(0)] * self.order
+        # Over d^2 the constant term is the int square r^2, r = rn d / rd, and
+        # the root v of those numerators has w_k = v_k (2r)^(2k - 1) an int.
+        cs, d = lift(self.coeffs)
+        two_r = 2 * rn * d // rd
+        w = [0]
         for k in range(1, self.order + 1):
-            acc = self.coeffs[k]
-            for i in range(1, k):
-                acc -= out[i] * out[k - i]
-            out[k] = acc / (2 * root)
-        return TruncatedSeries(self.order, tuple(out))
+            w.append(cs[k] * d * two_r ** (2 * k - 2) - sum(w[i] * w[k - i] for i in range(1, k)))
+        tail = (Fraction(x, d * two_r ** (2 * k - 1)) for k, x in enumerate(w[1:], start=1))
+        return TruncatedSeries(self.order, (Fraction(rn, rd), *tail))
 
 
 # --------------------------------------------------- the counting recursion

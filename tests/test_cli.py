@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 import freecactus
-from freecactus import _core_py
-from freecactus.cli import build_parser, main, parse_range
+from freecactus import _core_py, enumerate_y
+from freecactus.cli import _cell_text, _is_numeric_cell, build_parser, main, parse_range
 from freecactus.cumulants import ANTICOMMUTATOR_WEIGHTS, format_rational, parse_spec
 from freecactus.dp import dp_cumulants
 
@@ -137,6 +137,39 @@ def test_enumerate_y_prints_while_it_streams(capsys, monkeypatch):
         {"partition": [[1], [2, 4], [3]], "level": 1},
         {"partition": [[1, 2], [3, 4]], "level": 0},
     ]
+
+
+def buffered_table(rows):
+    """The table as it was rendered with every row held: the reference for
+    the two-pass stream."""
+    headers = list(rows[0])
+    cells = [[_cell_text(r.get(h)) for h in headers] for r in rows]
+    widths = [max(len(h), *(len(row[i]) for row in cells)) for i, h in enumerate(headers)]
+    numeric = [all(_is_numeric_cell(r.get(h)) for r in rows) for h in headers]
+    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
+    for row in cells:
+        parts = [t.rjust(widths[i]) if numeric[i] else t.ljust(widths[i]) for i, t in enumerate(row)]
+        lines.append("  ".join(parts).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_enumerate_y_table_equals_the_buffered_table(capsys, monkeypatch, m):
+    # The table streams Y(m) twice, once for the widths and once to print,
+    # and prints what the buffered rendering printed.
+    plain, starts = _core_py.iter_y_blocks, []
+
+    def counted(*args):
+        starts.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(_core_py, "iter_y_blocks", counted)
+    code, out, _err = run_cli(capsys, "enumerate", "y", "--m", str(m), "--format", "table")
+    assert code == 0
+    assert len(starts) == 2
+    odd = (m + 1) // 2
+    rows = [{"partition": p.to_text(), "level": len(p) - odd} for p in enumerate_y(m)]
+    assert out == buffered_table(rows)
 
 
 def test_enumerate_y_carries_levels(capsys):

@@ -45,7 +45,9 @@ from freecactus import (
 from freecactus.cactus import build_graph, canonical_outercycle, enumerate_oriented_cacti
 from freecactus.cumulants import (
     _colored_sum,
+    _moment_cumulant_walk,
     integer_tables,
+    lift,
     oracle_quadratic_moments,
     random_explicit_spec,
 )
@@ -310,6 +312,37 @@ def test_conversion_roundtrip(moments):
     kappas = cumulants_from_moments(moments)
     spec = CumulantSpec.explicit(kappas)
     assert moments_from_cumulants(spec, len(moments)) == moments
+
+
+@pytest.mark.parametrize(
+    "spec",
+    (
+        CumulantSpec.explicit([Fraction(3, 7), 0, Fraction(-5, 6), 2, Fraction(1, 4), -3]),
+        CumulantSpec.explicit([0, Fraction(-2, 5), Fraction(6, 7), 0, Fraction(-1, 3)]),
+        CumulantSpec.semicircular(),
+        CumulantSpec.free_poisson(Fraction(-7, 4)),
+    ),
+)
+def test_scaled_conversions_are_mutually_inverse(spec):
+    # Both directions lift to ints over D^n and divide once; the walk on
+    # Fractions is the reference.
+    n_max = 14
+    kappas = [spec.kappa(n) for n in range(1, n_max + 1)]
+    moments = moments_from_cumulants(spec, n_max)
+    assert all(type(x) is Fraction for x in moments)
+    assert moments == _moment_cumulant_walk(kappas, False)
+    back = cumulants_from_moments(moments)
+    assert all(type(x) is Fraction for x in back)
+    assert back == kappas
+    assert cumulants_from_moments([str(m) for m in moments]) == kappas
+    assert moments_from_cumulants(spec, 0) == []
+    assert cumulants_from_moments([]) == []
+
+
+def test_lift_is_the_one_scaling_rule():
+    assert lift([]) == ([], 1)
+    assert lift([Fraction(1, 2), Fraction(-2, 3), 0, 5]) == ([3, -4, 0, 30], 6)
+    assert lift([1, 2]) == ([1, 2], 1)
 
 
 # --------------------------------------------------------------- products

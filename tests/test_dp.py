@@ -32,6 +32,7 @@ from freecactus.cumulants import (
     random_explicit_spec,
 )
 from freecactus.dp import DEFAULT_DP_CAP, dp_cumulants
+from freecactus.series import r_m_transfer
 
 SEED = 1729
 
@@ -116,6 +117,26 @@ def test_dp_returns_fractions(integral):
     spec = CumulantSpec.free_poisson(1 if integral else Fraction(2, 3))
     kappas = dp_cumulants((spec, spec), ANTICOMMUTATOR_WEIGHTS, 5)
     assert all(type(x) is Fraction for x in kappas)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_product_matches_the_s_transform(seed):
+    # For kappa_1(a), kappa_1(b) nonzero the S-transform is multiplicative
+    # (Voiculescu 1987): with R(z) = sum of kappa_n z^n,
+    # R_ab^<-1>(z) = R_a^<-1>(z) R_b^<-1>(z) / z.  Nothing here sums over
+    # partitions; the series layer alone inverts, multiplies and shifts.
+    rng = random.Random(SEED + seed)
+    a, b = (
+        CumulantSpec.explicit(
+            (rng.choice((1, -1, Fraction(2, 3), Fraction(-3, 2))),)
+            + random_explicit_spec(rng, 5).values
+        )
+        for _ in range(2)
+    )
+    r_a, r_b = (r_m_transfer(spec, 20).R.comp_inverse() for spec in (a, b))
+    s_ab = (r_a * r_b).shift_down(1)
+    kappas = dp_cumulants((a, b), PRODUCT_WEIGHTS, 19)
+    assert r_m_transfer(kappas, 19).R.comp_inverse() == s_ab
 
 
 def test_asymmetric_weights_are_accepted_by_dp_only():

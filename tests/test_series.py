@@ -8,6 +8,7 @@ coded level histogram; the closed forms are checked coefficientwise
 against triangular inversion, which shares no code with them."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -274,6 +275,127 @@ def test_sqrt_preconditions():
         series([0, 1]).sqrt()
     with pytest.raises(ValueError, match="rational square"):
         series([2, 1]).sqrt()
+
+
+# ------------------------------------- exact operations against Fractions
+#
+# The operations run on integer numerators over one denominator; these
+# references are the textbook recursions, literally on Fractions.
+
+
+def mixed_series(rng, order, constant=None):
+    """Denominators 1..7, negative entries and about a third zeros."""
+    coeffs = [
+        Fraction(rng.randint(-6, 6), rng.randint(1, 7)) if rng.random() < 0.7 else Fraction(0)
+        for _ in range(order + 1)
+    ]
+    if constant is not None:
+        coeffs[0] = Fraction(constant)
+    return TruncatedSeries(order, tuple(coeffs))
+
+
+def reference_product(a, b):
+    n = min(a.order, b.order)
+    return tuple(sum((a[i] * b[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n + 1))
+
+
+def reference_quotient(a, b):
+    out = []
+    for k in range(min(a.order, b.order) + 1):
+        acc = a[k] - sum((b[i] * out[k - i] for i in range(1, k + 1)), Fraction(0))
+        out.append(acc / b[0])
+    return tuple(out)
+
+
+def reference_sqrt(a, root):
+    out = [Fraction(root)]
+    for k in range(1, a.order + 1):
+        acc = a[k] - sum((out[i] * out[k - i] for i in range(1, k)), Fraction(0))
+        out.append(acc / (2 * out[0]))
+    return tuple(out)
+
+
+def reference_compose(f, g):
+    n = min(f.order, g.order)
+    out = (f[n],) + (Fraction(0),) * n
+    for k in range(n - 1, -1, -1):
+        out = reference_product(TruncatedSeries(n, out), g.truncate(n))
+        out = (out[0] + f[k],) + out[1:]
+    return out
+
+
+def exact_coeffs(s):
+    assert all(type(c) is Fraction for c in s.coeffs)
+    return s.coeffs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_products_and_quotients_equal_the_fraction_recursions(seed):
+    rng = random.Random(SEED + seed)
+    for _ in range(25):
+        a = mixed_series(rng, rng.randint(0, 12))
+        b = mixed_series(rng, rng.randint(0, 12))
+        assert exact_coeffs(a * b) == reference_product(a, b)
+        assert exact_coeffs(b * a) == reference_product(a, b)
+        scalar = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+        assert exact_coeffs(scalar * a) == tuple(scalar * c for c in a.coeffs)
+        for c0 in (Fraction(-3, 2), Fraction(5, 7), -1, 3):
+            divisor = mixed_series(rng, rng.randint(0, 12), constant=c0)
+            assert exact_coeffs(a / divisor) == reference_quotient(a, divisor)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_sqrt_and_compose_equal_the_fraction_recursions(seed):
+    rng = random.Random(SEED + seed)
+    for _ in range(15):
+        for root in (Fraction(3, 2), Fraction(1, 7), 1, Fraction(10, 3)):
+            a = mixed_series(rng, rng.randint(0, 12), constant=root * root)
+            assert exact_coeffs(a.sqrt()) == reference_sqrt(a, root)
+        f = mixed_series(rng, rng.randint(0, 10))
+        g = mixed_series(rng, rng.randint(1, 10), constant=0)
+        assert exact_coeffs(f.compose(g)) == reference_compose(f, g)
+
+
+def test_sqrt_at_low_orders():
+    assert exact_coeffs(series([Fraction(9, 4)]).sqrt()) == (Fraction(3, 2),)
+    assert exact_coeffs(series([Fraction(9, 4), 3]).sqrt()) == (Fraction(3, 2), 1)
+    assert exact_coeffs(series([Fraction(9, 4), Fraction(-5, 6)]).sqrt()) == (
+        Fraction(3, 2),
+        Fraction(-5, 18),
+    )
+
+
+def test_integer_results_are_fractions():
+    # Integral inputs lift over the denominator 1; the results are still
+    # Fractions, also where every value is an integer.
+    f = series([1, 2, 3], order=4)
+    g = series([1, -1], order=4)
+    for result in (f * g, f / g, (f * f).sqrt(), f.compose(g - 1), f * 2, f - g):
+        exact_coeffs(result)
+    exact_coeffs(y_series(8)[0])
+
+
+def test_error_messages_are_unchanged():
+    cases = (
+        (lambda: series([1, 1]) / series([0, 1]), "series division needs a unit divisor, got c_0 = 0"),
+        (lambda: series([0, 1]).sqrt(), "series sqrt needs a positive constant term, got c_0 = 0"),
+        (
+            lambda: series([Fraction(-9, 4), 1]).sqrt(),
+            "series sqrt needs a positive constant term, got c_0 = -9/4",
+        ),
+        (
+            lambda: series([Fraction(9, 2), 1]).sqrt(),
+            "series sqrt needs c_0 to be a rational square, got c_0 = 9/2",
+        ),
+        (lambda: series([2, 1]).sqrt(), "series sqrt needs c_0 to be a rational square, got c_0 = 2"),
+        (lambda: TruncatedSeries(2, (Fraction(1),)), "order 2 needs 3 coefficients, got 1"),
+        (lambda: TruncatedSeries(-1, ()), "series order must be non-negative"),
+        (lambda: series([1, 2, 3, 4, 5], order=3), "5 coefficients exceed order 3"),
+        (lambda: moments_from_cumulants(CumulantSpec.semicircular(), -1), "n_max must be non-negative"),
+    )
+    for call, message in cases:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call()
 
 
 # --------------------------------------------------- the counting recursion
