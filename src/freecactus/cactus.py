@@ -16,10 +16,9 @@ The cactus routes draw their partitions from
 ``partitions.enumerate_connected``, which prunes the disconnected ones
 inside the NC(2n) recursion, so none of them is built or walked.
 ``canonical_outercycle`` is the one walk: every cumulant route, the class
-table and the counts evaluate the ``OrientedCactus`` it returns.  It also
-decides bipartiteness (colors alternating along the walk never clash),
-so classifying a partition is one pass over plain lists, and it refuses
-a disconnected graph (the walk then misses a block).
+table and the counts evaluate the ``OrientedCactus`` it returns, which
+is the signature alone, and it refuses a disconnected graph (the walk
+then misses a block).
 ``enumerate_oriented_cacti`` keeps one cactus per class, since a class
 holds exactly 2^f_C partitions; only the ``enumerate cacti`` listing of
 the command line collects members.  ``build_graph``, ``is_connected``,
@@ -29,6 +28,7 @@ reference for the self-checks and the tests only.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,54 +60,94 @@ class CactusValidation(NamedTuple):
 
 @dataclass(frozen=True)
 class OrientedCactus:
-    """A cactus graph together with its canonical outercycle.
+    """An oriented cactus class, held as its canonical outercycle.
 
     ``signature`` lists the walk as (vertex, edge) pairs with both ids
     renumbered by first visit; it determines the oriented cactus up to
-    automorphism.  ``edge_rigidity`` is indexed by renumbered edge id;
-    rigid edges (those on a simple cycle) appear once in the walk,
-    flexible ones twice.  ``f_c`` counts the flexible edges, leaving out
-    the first edge of the walk when that edge is flexible.  ``bipartition``
-    is present iff the graph is bipartite; its first part contains vertex
-    0, the start of the walk.
+    automorphism, so it is the only field, and equality and hashing are
+    those of the class.  Everything else is read off the signature on
+    each access, with no cache.  ``edge_rigidity`` is indexed by
+    renumbered edge id; rigid edges (those on a simple cycle) appear once
+    in the walk, flexible ones twice.  ``f_c`` counts the flexible edges,
+    leaving out the first edge of the walk when that edge is flexible.
+    ``bipartition`` is present iff the graph is bipartite; its first part
+    contains vertex 0, the start of the walk.
     """
 
     signature: Signature
-    edge_rigidity: tuple[bool, ...]
-    f_c: int
-    first_edge_rigid: bool
-    bipartition: tuple[tuple[int, ...], tuple[int, ...]] | None
-    degrees: tuple[int, ...]
+
+    @property
+    def edge_rigidity(self) -> tuple[bool, ...]:
+        visits = Counter(e for _, e in self.signature)
+        assert max(visits.values()) <= 2  # every edge is walked once or twice
+        return tuple(visits[e] == 1 for e in range(len(visits)))
+
+    @property
+    def first_edge_rigid(self) -> bool:
+        return self.edge_rigidity[0]
+
+    @property
+    def f_c(self) -> int:
+        rigidity = self.edge_rigidity
+        return rigidity.count(False) - (not rigidity[0])
 
     @property
     def vertex_count(self) -> int:
-        return len(self.degrees)
+        return 1 + max(v for v, _ in self.signature)
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """Loops count twice, so these are the block sizes of a member."""
+        degrees = [0] * self.vertex_count
+        for u, v in self.renumbered_edges():
+            degrees[u] += 1
+            degrees[v] += 1
+        return tuple(degrees)
+
+    @property
+    def bipartition(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Colors alternate along the walk, closing step included; the
+        walk crosses every edge, so they two-color the graph or clash."""
+        color: list[int] = []
+        prev = 1  # so that vertex 0 gets color 0
+        for v, _ in self.signature:
+            if v == len(color):
+                prev = 1 - prev
+                color.append(prev)
+            elif color[v] == prev:
+                return None
+            else:
+                prev = color[v]
+        if prev == 0:
+            return None  # the closing step returns to vertex 0
+        return (
+            tuple(v for v, c in enumerate(color) if c == 0),
+            tuple(v for v, c in enumerate(color) if c == 1),
+        )
 
     def renumbered_edges(self) -> tuple[tuple[int, int], ...]:
         """Endpoint pairs by renumbered edge id, recovered from the walk.
 
         Edge e_i of the signature joins v_i to v_{i+1} (cyclically), since
-        the walk crosses the edge between the two entries.  The pair is
-        reported in first-traversal order, which is not necessarily the
-        source partition's edge direction.
+        the walk crosses the edge between the two entries; ids count first
+        visits, so e_i is new exactly when it equals the edges met so far.
+        The pair is reported in first-traversal order, which is not
+        necessarily the source partition's edge direction.
         """
-        ends: dict[int, tuple[int, int]] = {}
         sig = self.signature
-        for i, (v, e) in enumerate(sig):
-            w = sig[(i + 1) % len(sig)][0]
-            ends.setdefault(e, (v, w))
-        return tuple(ends[e] for e in range(len(ends)))
+        ends: list[tuple[int, int]] = []
+        for (v, e), (w, _) in zip(sig, sig[1:] + sig[:1]):
+            if e == len(ends):
+                ends.append((v, w))
+        return tuple(ends)
 
     def to_json_obj(self) -> dict:
+        parts = self.bipartition
         return {
             "signature": [list(pair) for pair in self.signature],
             "rigid": list(self.edge_rigidity),
             "fC": self.f_c,
-            "bipartition": (
-                None
-                if self.bipartition is None
-                else [list(self.bipartition[0]), list(self.bipartition[1])]
-            ),
+            "bipartition": None if parts is None else [list(part) for part in parts],
             "degrees": list(self.degrees),
         }
 
@@ -276,29 +316,24 @@ def _count_cycles_exhaustively(g: BlockMultigraph, edge_ids: list[int]) -> int:
 
 
 def canonical_outercycle(p: Partition) -> OrientedCactus:
-    """Walk the outercycle of p's connected block multigraph once, on plain
-    lists, and canonicalize.
+    """The oriented cactus of p's connected block multigraph, by one walk
+    of its outercycle.
 
     Starting from element 1, repeat "swap within the consecutive pair,
     then step to the next element of the block (cyclically, ascending)"
-    until element 1 returns.  Reading off (block of x, pair index of x)
-    and renumbering both coordinates by first visit gives the signature.
-    Rigid edges are walked once, flexible edges twice, so the walk length
-    is (#rigid) + 2(#flexible).  The orbit of element 1 never leaves the
-    component of block 1, and on a connected graph of a non-crossing
-    partition it visits every vertex, so "every block visited" and
-    "connected" are the same test; a missed block raises ValueError.  One
-    pass over the recorded walk then yields the signature, the edge
-    rigidity, f_C, the degrees and the bipartition: consecutive entries of
-    the walk are joined by the edge crossed between them, the closing step
-    included, and the walk covers every edge, so alternating colors along
-    it two-colors the graph or meets an odd cycle.
+    until element 1 returns.  Each step records (block of x, pair index of
+    x), both renumbered by first visit in the same pass; the recorded walk
+    is the signature, and nothing else is kept.  Rigid edges are walked
+    once, flexible edges twice, so the walk length is (#rigid) +
+    2(#flexible).  The orbit of element 1 never leaves the component of
+    block 1, and on a connected graph of a non-crossing partition it
+    visits every vertex, so "every block visited" and "connected" are the
+    same test; a missed block raises ValueError.
     """
     if p.ground_size % 2:
         raise ValueError("block multigraphs need an even ground set")
     blocks = p.blocks
     size = p.ground_size
-    n = size // 2
     # step[x] is the next element of the walk: the partner of x, then the
     # next element of the partner's block.  ((y - 1) ^ 1) + 1 is y's partner.
     step = [0] * (size + 1)
@@ -309,70 +344,27 @@ def canonical_outercycle(p: Partition) -> OrientedCactus:
             step[((prev - 1) ^ 1) + 1] = x
             where[x] = i
             prev = x
-    vertex_new = [-1] * len(blocks)
-    old_vertices: list[int] = []
-    walk = []
+    # old id -> new id, in first-visit order
+    vertex_new: dict[int, int] = {}
+    edge_new: dict[int, int] = {}
+    signature = []
     x = 1
     while True:
-        walk.append(x)
-        v = where[x]
-        if vertex_new[v] < 0:
-            vertex_new[v] = len(old_vertices)
-            old_vertices.append(v)
+        v = vertex_new.setdefault(where[x], len(vertex_new))
+        e = edge_new.setdefault((x + 1) >> 1, len(edge_new))
+        signature.append((v, e))
         x = step[x]
         if x == 1:
             break
-    if len(old_vertices) != len(blocks):
+    if len(vertex_new) != len(blocks):
         assert not is_connected(build_graph(p)), (
             "outercycle must cover every edge and vertex of a connected graph"
         )
         raise ValueError("canonical_outercycle needs a connected block graph")
-    edge_new = [-1] * (n + 1)
-    visits = [0] * (n + 1)
-    old_edges: list[int] = []
-    color = [-1] * len(blocks)
-    bipartite = True
-    signature = []
-    prev_color = 1  # so that vertex 0, the block of 1, gets color 0
-    for x in walk:
-        nv = vertex_new[where[x]]
-        c = color[nv]
-        if c < 0:
-            prev_color = color[nv] = 1 - prev_color
-        elif c == prev_color:
-            bipartite = False
-        else:
-            prev_color = c
-        e = (x + 1) >> 1
-        ne = edge_new[e]
-        if ne < 0:
-            ne = edge_new[e] = len(old_edges)
-            old_edges.append(e)
-        visits[e] += 1
-        signature.append((nv, ne))
-    if prev_color == 0:
-        bipartite = False  # the closing step returns to vertex 0
-    assert len(old_edges) == n, (
+    assert len(edge_new) == size // 2, (
         "outercycle must cover every edge and vertex of a connected graph"
     )
-    assert max(visits) <= 2  # every edge is walked once or twice
-    rigidity = tuple(visits[e] == 1 for e in old_edges)
-    flexible = rigidity.count(False)
-    first_edge_rigid = rigidity[0]
-    parts = None
-    if bipartite:
-        parts = (
-            tuple(v for v, c in enumerate(color) if c == 0),
-            tuple(v for v, c in enumerate(color) if c == 1),
-        )
-    return OrientedCactus(
-        signature=tuple(signature),
-        edge_rigidity=rigidity,
-        f_c=flexible if first_edge_rigid else flexible - 1,
-        first_edge_rigid=first_edge_rigid,
-        bipartition=parts,
-        degrees=tuple(len(blocks[v]) for v in old_vertices),
-    )
+    return OrientedCactus(tuple(signature))
 
 
 def g_exponent(c: OrientedCactus) -> int:
@@ -386,8 +378,8 @@ def enumerate_oriented_cacti(
     bipartite_only: bool = False,
     cap: int | None = None,
 ) -> dict[Signature, OrientedCactus]:
-    """The oriented cactus classes with n edges: signature -> the cactus of
-    the class's first connected partition of [2n] in stream order.
+    """The oriented cactus classes with n edges: signature -> cactus, in
+    the order the connected partitions of [2n] first reach them.
 
     A class holds exactly 2^f_C partitions, which the tests assert, so the
     table keeps no members.  ``bipartite_only`` keeps the classes carrying

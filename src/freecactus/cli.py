@@ -194,8 +194,8 @@ def cmd_enumerate(args) -> int:
         ))
         _emit_records(records, args.format)
         return 0
-    # The one listing of class members: the cactus of each class's first
-    # member, then every member's text in stream order.
+    # The one listing of class members: each class's cactus, then every
+    # member's text in stream order.
     classes = {}
     for p in enumerate_connected(args.n, cap=args.cap):
         cactus = cactus_mod.canonical_outercycle(p)

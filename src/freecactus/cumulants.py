@@ -429,7 +429,7 @@ def _colored_sum(cactus: OrientedCactus, kappa: list[list[int]], weights: list[l
     coloring below it.
     """
     kappas = [[(c, row[s]) for c, row in enumerate(kappa) if row[s]] for s in cactus.degrees]
-    vertex_count = cactus.vertex_count
+    vertex_count = len(kappas)
     closing: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
     for u, v in cactus.renumbered_edges():
         closing[max(u, v)].append((u, v))

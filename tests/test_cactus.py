@@ -5,6 +5,8 @@ of [12]: its graph has six vertices, four flexible edges forming a tree
 part and one parallel pair forming the single simple cycle.  All its
 numbers below were derived by hand from the walk."""
 
+import dataclasses
+
 import pytest
 
 import bruteforce
@@ -287,6 +289,43 @@ def test_outercycle_json_schema():
     assert canonical_outercycle(Partition.whole(2)).to_json_obj()["bipartition"] is None
 
 
+# A signature alone is an OrientedCactus: every other attribute is read
+# off it.  These four are the frozen two-edge classes and the one-edge loop.
+STAR = ((0, 0), (1, 0), (0, 1), (2, 1))
+PATH = ((0, 0), (1, 1), (2, 1), (1, 0))
+DOUBLE = ((0, 0), (1, 1))
+LOOP = ((0, 0),)
+
+
+def test_oriented_cactus_is_its_signature():
+    assert [f.name for f in dataclasses.fields(OrientedCactus)] == ["signature"]
+    star = canonical_outercycle(Partition.from_text("1 3|2|4"))
+    assert star == OrientedCactus(STAR)
+    assert hash(star) == hash(OrientedCactus(STAR))
+    assert star != OrientedCactus(PATH)
+    assert canonical_outercycle(Partition.from_text("1 4|2 3")) == OrientedCactus(DOUBLE)
+
+
+@pytest.mark.parametrize(
+    "signature, rigidity, f_c, degrees, parts, edges",
+    [
+        (STAR, (False, False), 1, (2, 1, 1), ((0,), (1, 2)), ((0, 1), (0, 2))),
+        (PATH, (False, False), 1, (1, 2, 1), ((0, 2), (1,)), ((0, 1), (1, 2))),
+        (DOUBLE, (True, True), 0, (2, 2), ((0,), (1,)), ((0, 1), (1, 0))),
+        (LOOP, (True,), 0, (2,), None, ((0, 0),)),
+    ],
+)
+def test_attributes_are_read_off_the_signature(signature, rigidity, f_c, degrees, parts, edges):
+    c = OrientedCactus(signature)
+    assert c.edge_rigidity == rigidity
+    assert c.f_c == f_c
+    assert c.first_edge_rigid == rigidity[0]
+    assert c.degrees == degrees
+    assert c.vertex_count == len(degrees)
+    assert c.bipartition == parts
+    assert c.renumbered_edges() == edges
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_outercycle_structure_invariants(n):
     for p in connected_partitions(n):
@@ -443,6 +482,17 @@ def test_class_table_holds_the_cactus_of_each_first_member(n, bipartite_only):
     ]
     classes = enumerate_oriented_cacti(n, bipartite_only=bipartite_only)
     assert list(classes.items()) == first_member_cacti
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_member_is_its_class_entry(n):
+    """The cactus of any member, not only the first, equals the table's
+    entry: the class is its signature, so nothing depends on the member."""
+    classes = enumerate_oriented_cacti(n)
+    for p in enumerate_connected(n):
+        c = canonical_outercycle(p)
+        assert c == classes[c.signature]
+        assert c.to_json_obj() == classes[c.signature].to_json_obj()
 
 
 @pytest.mark.parametrize("n", range(1, 5))

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freecactus import (
     CumulantSpec,
@@ -103,6 +105,41 @@ def test_quadratic_matches_oracle_and_graph_route(k, with_zeros):
     assert got == [
         quadratic_form_cumulant(specs, weights, n, route="graph") for n in range(1, 5)
     ]
+
+
+# Explicit spec entries p/q with p in [-3, 3] and q in {1, 2, 3}, zeros
+# included: the family of ``random_explicit_spec``, drawn by hypothesis.
+ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+SPECS = st.lists(ENTRIES, min_size=1, max_size=8).map(CumulantSpec.explicit)
+
+
+@st.composite
+def symmetric_forms(draw):
+    k = draw(st.integers(1, 3))
+    rows = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = draw(ENTRIES)
+    specs = tuple(draw(SPECS) for _ in range(k))
+    return specs, WeightMatrix(tuple(tuple(r) for r in rows))
+
+
+@given(symmetric_forms())
+@settings(max_examples=25, deadline=None)
+def test_dp_equals_both_cactus_routes_and_the_oracle(form):
+    specs, weights = form
+    got = dp_cumulants(specs, weights, 4)
+    for route in ("partition", "graph"):
+        assert got == [quadratic_form_cumulant(specs, weights, n, route=route) for n in range(1, 5)]
+    assert got[:3] == oracle_quadratic_cumulants(specs, weights, 3)
+
+
+@given(SPECS, SPECS)
+@settings(max_examples=25, deadline=None)
+def test_dp_equals_the_y_route_and_the_bipartite_classes(a, b):
+    got = dp_cumulants((a, b), ANTICOMMUTATOR_WEIGHTS, 4)
+    assert got == [anticommutator_cumulant(a, b, n) for n in range(1, 5)]
+    assert got == [anticommutator_cumulant_graphwise(a, b, n) for n in range(1, 5)]
 
 
 def test_free_poisson_pair_matches_counting_recursion():
