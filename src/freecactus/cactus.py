@@ -10,20 +10,21 @@ by following the orbit of element 1 under "swap within the pair, then
 step within the block".
 
 The outercycle, renumbered by first visit, is a complete combinatorial
-invariant of the oriented cactus, so grouping partitions by that
-signature enumerates oriented cacti without a separate graph generator.
-The cactus routes draw their partitions from
+invariant of the oriented cactus.  ``canonical_outercycle`` is the one
+walk: the partition routes, the ``enumerate cacti`` listing, the
+self-checks and the tests evaluate the ``OrientedCactus`` it returns,
+which is the signature alone, and it refuses a disconnected graph (the
+walk then misses a block).  The partitions they walk come from
 ``partitions.enumerate_connected``, which prunes the disconnected ones
-inside the NC(2n) recursion, so none of them is built or walked.
-``canonical_outercycle`` is the one walk: every cumulant route, the class
-table and the counts evaluate the ``OrientedCactus`` it returns, which
-is the signature alone, and it refuses a disconnected graph (the walk
-then misses a block).
-``enumerate_oriented_cacti`` keeps one cactus per class, since a class
-holds exactly 2^f_C partitions; only the ``enumerate cacti`` listing of
-the command line collects members.  ``build_graph``, ``is_connected``,
-``bipartition`` and ``validate_cactus`` are the independent graph-side
-reference for the self-checks and the tests only.
+inside the NC(2n) recursion.
+``enumerate_oriented_cacti`` walks no partition: it generates one cactus
+per class, signature first, from the plane-cactus decomposition (at each
+vertex a sequence of blocks, each a bridge or a cycle), in depth-first
+order along the walk.  A class holds exactly 2^f_C partitions, so the
+class routes weight that one cactus by its class size.
+``build_graph``, ``is_connected``, ``bipartition`` and
+``validate_cactus`` are the independent graph-side reference for the
+self-checks and the tests only.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from freecactus.partitions import Partition, enumerate_connected, union_find_roots
+from freecactus.errors import check_cap
+from freecactus.partitions import DEFAULT_ENUMERATION_CAP, Partition, union_find_roots
 
 Signature = tuple[tuple[int, int], ...]
 
@@ -378,20 +380,60 @@ def enumerate_oriented_cacti(
     bipartite_only: bool = False,
     cap: int | None = None,
 ) -> dict[Signature, OrientedCactus]:
-    """The oriented cactus classes with n edges: signature -> cactus, in
-    the order the connected partitions of [2n] first reach them.
+    """The oriented cactus classes with n edges: signature -> cactus,
+    generated from the plane-cactus decomposition without any partition.
 
-    A class holds exactly 2^f_C partitions, which the tests assert, so the
-    table keeps no members.  ``bipartite_only`` keeps the classes carrying
-    a bipartition.  The partitions come from ``enumerate_connected``, which
-    never builds a disconnected one and enforces the NC(2n) enumeration cap
+    The root corner carries a sequence of blocks, n edges in all, and so
+    does every further vertex.  A bridge from v walks (v, e), the block
+    sequence of its new vertex u, then (u, e); a cycle of k >= 1 edges
+    walks (v, e_1), then for each new vertex w_i its block sequence and
+    (w_i, e_{i+1}), e_k closing back at v.  Ids are handed out at first
+    visit, so each walk is already the signature that
+    ``canonical_outercycle`` gives every member of the class.
+    ``bipartite_only`` allows even k only.  The order is that of a depth
+    first search along the walk: at each vertex a bridge first, then the
+    cycles by increasing k, then the end of the vertex's sequence.  The
+    cap is that of the NC(2n) enumeration the classes group, checked
     before any work.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    check_cap(2 * n, cap, DEFAULT_ENUMERATION_CAP, f"enumerating NC({2 * n})")
+    shortest, step = (2, 2) if bipartite_only else (1, 1)  # cycle lengths k
     classes: dict[Signature, OrientedCactus] = {}
-    for p in enumerate_connected(n, cap=cap):
-        cactus = canonical_outercycle(p)
-        if not bipartite_only or cactus.bipartition is not None:
-            classes.setdefault(cactus.signature, cactus)
+    walk: list[tuple[int, int]] = []
+
+    def corner(v: int, used: int, fresh: int, frame: tuple | None, owed: int) -> None:
+        # frame is the innermost open block, (vertex it hangs from, edge,
+        # cycle edges still to walk, outer frame): a bridge to walk back
+        # along that edge when none are left, else a cycle; owed sums the
+        # edges the open cycles still need.  fresh is the next vertex id.
+        spare = n - used - owed
+        if spare:
+            walk.append((v, used))
+            corner(fresh, used + 1, fresh + 1, (v, used, 0, frame), owed)
+            for k in range(shortest, spare + 1, step):
+                if k == 1:
+                    corner(v, used + 1, fresh, frame, owed)
+                else:
+                    corner(fresh, used + 1, fresh + 1, (v, used, k - 1, frame), owed + k - 1)
+            walk.pop()
+        if frame is None:
+            if used == n:
+                signature = tuple(walk)
+                classes[signature] = OrientedCactus(signature)
+            return
+        parent, edge, left, outer = frame
+        if not left:
+            walk.append((v, edge))
+            corner(parent, used, fresh, outer, owed)
+        else:
+            walk.append((v, used))
+            if left == 1:
+                corner(parent, used + 1, fresh, outer, owed - 1)
+            else:
+                corner(fresh, used + 1, fresh + 1, (parent, edge, left - 1, outer), owed - 1)
+        walk.pop()
+
+    corner(0, 0, 1, None, 0)
     return classes

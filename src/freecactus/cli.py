@@ -195,14 +195,19 @@ def cmd_enumerate(args) -> int:
         _emit_records(records, args.format)
         return 0
     # The one listing of class members: each class's cactus, then every
-    # member's text in stream order.
+    # member's text in stream order.  The signature fixes the bipartition,
+    # so it is read once per class; a rejected class maps to None.
     classes = {}
     for p in enumerate_connected(args.n, cap=args.cap):
         cactus = cactus_mod.canonical_outercycle(p)
-        if not args.bipartite or cactus.bipartition is not None:
-            classes.setdefault(cactus.signature, (cactus, []))[1].append(p.to_text())
+        if cactus.signature not in classes:
+            keep = not args.bipartite or cactus.bipartition is not None
+            classes[cactus.signature] = (cactus, []) if keep else None
+        entry = classes[cactus.signature]
+        if entry is not None:
+            entry[1].append(p.to_text())
     records = []
-    for rep, texts in classes.values():
+    for rep, texts in filter(None, classes.values()):
         if args.format == "json":
             record = rep.to_json_obj()
             record.update(class_size=len(texts), members=texts)

@@ -8,11 +8,13 @@ cumulants of ab + ba, of as + sa with s semicircular, and of a general
 quadratic form sum w_ij a_i a_j, as sums over the partition and cactus
 structures of the companion modules.  Every cactus route, whether it sums
 over partitions or over oriented cactus classes, evaluates one colored sum
-on the ``OrientedCactus`` of one walk, ``cactus.canonical_outercycle``:
-its degrees and its edges.  The class routes read one cactus per class
-from ``enumerate_oriented_cacti`` and weight it by the 2^f_C class size,
-so no route keeps a class's member partitions.  ``integer_tables`` alone
-scales: every cactus route, and ``dp``, sums ints and divides once per order.
+on an ``OrientedCactus``, an outercycle signature: its degrees and its
+edges.  The partition routes walk each partition with
+``cactus.canonical_outercycle``; the class routes read one generated
+cactus per class from ``enumerate_oriented_cacti`` and weight it by the
+2^f_C class size, so no route keeps a class's member partitions.
+``integer_tables`` alone scales: every cactus route, and ``dp``, sums
+ints and divides once per order.
 The series layer and the moment-cumulant conversions scale through the same
 ``lift``: ints over one denominator, each coefficient divided once.
 

@@ -123,13 +123,16 @@ def class_sizes(rng: random.Random) -> str:
             cactus_mod.canonical_outercycle(p).signature for p in enumerate_connected(n)
         )
         require(sizes.keys() == classes.keys(), f"class signatures at n = {n}")
+        walked = {s for s in sizes if cactus_mod.OrientedCactus(s).bipartition is not None}
+        bipartite = cactus_mod.enumerate_oriented_cacti(n, bipartite_only=True)
+        require(bipartite.keys() == walked, f"bipartite class signatures at n = {n}")
         for signature, rep in classes.items():
             require(sizes[signature] == 2**rep.f_c, signature)
         graphs = (cactus_mod.build_graph(p) for p in enumerate_nc(2 * n))
         require(sizes.total() == sum(map(cactus_mod.is_connected, graphs)), f"n = {n}")
         trees = sum(1 for rep in classes.values() if not any(rep.edge_rigidity))
         require(trees == catalan(n), f"tree classes at n = {n}")
-    return "sizes 2^fC, union complete, trees Catalan, n <= 4"
+    return "sizes 2^fC, union complete, bipartite classes, trees Catalan, n <= 4"
 
 
 def routes_agree(rng: random.Random) -> str:

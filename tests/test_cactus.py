@@ -10,6 +10,8 @@ import dataclasses
 import pytest
 
 import bruteforce
+from freecactus import _core_py
+from freecactus import cactus as cactus_mod
 from freecactus import (
     Partition,
     ResourceCapError,
@@ -44,8 +46,8 @@ def connected_partitions(n):
 
 def grouped_members(n, bipartite_only=False):
     """The connected partitions of [2n] grouped by outercycle signature,
-    classes and members in stream order: the members that
-    ``enumerate_oriented_cacti`` does not keep."""
+    classes and members in stream order: the walked reference for the
+    classes that ``enumerate_oriented_cacti`` generates without members."""
     groups = {}
     for p in enumerate_connected(n):
         c = canonical_outercycle(p)
@@ -474,14 +476,50 @@ def test_class_sizes_are_powers_of_two_from_f(n):
 
 
 @pytest.mark.parametrize("bipartite_only", [False, True])
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_class_table_holds_the_cactus_of_each_first_member(n, bipartite_only):
+    # The generated table has the walked classes' keys and cacti; its order
+    # is the generator's, not the partition stream's, so compare mappings.
     first_member_cacti = [
         (signature, canonical_outercycle(members[0]))
         for signature, members in grouped_members(n, bipartite_only).items()
     ]
     classes = enumerate_oriented_cacti(n, bipartite_only=bipartite_only)
-    assert list(classes.items()) == first_member_cacti
+    assert classes == dict(first_member_cacti)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bipartite_table_is_the_filtered_full_table(n):
+    full = enumerate_oriented_cacti(n)
+    bipartite = enumerate_oriented_cacti(n, bipartite_only=True)
+    assert bipartite == {s: c for s, c in full.items() if c.bipartition is not None}
+
+
+def test_two_edge_classes_come_in_generation_order():
+    # Depth first along the walk: at each vertex a bridge, then cycles by
+    # increasing length, then the end of the vertex's block sequence.
+    assert list(enumerate_oriented_cacti(2)) == [
+        PATH,
+        ((0, 0), (1, 1), (1, 0)),  # a bridge to a looped vertex
+        STAR,
+        ((0, 0), (1, 0), (0, 1)),  # a bridge, then a loop at the root
+        ((0, 0), (0, 1), (1, 1)),  # a loop, then a bridge
+        ((0, 0), (0, 1)),  # two loops
+        DOUBLE,
+    ]
+    assert list(enumerate_oriented_cacti(2, bipartite_only=True)) == [PATH, STAR, DOUBLE]
+
+
+def test_classes_are_generated_without_partitions(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the class table built or walked a partition")
+
+    monkeypatch.setattr(_core_py, "iter_nc_blocks", refuse)
+    monkeypatch.setattr(_core_py, "iter_connected_blocks", refuse)
+    monkeypatch.setattr(cactus_mod, "canonical_outercycle", refuse)
+    assert [len(enumerate_oriented_cacti(n)) for n in range(1, 6)] == [2, 7, 30, 143, 728]
+    counts = [len(enumerate_oriented_cacti(n, bipartite_only=True)) for n in range(1, 6)]
+    assert counts == [1, 3, 9, 32, 119]
 
 
 @pytest.mark.parametrize("n", range(1, 6))

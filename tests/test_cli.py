@@ -16,6 +16,8 @@ import pytest
 
 import freecactus
 from freecactus import _core_py, enumerate_y
+from freecactus import cactus as cactus_mod
+from freecactus import cumulants as cumulants_mod
 from freecactus.cli import _cell_text, _is_numeric_cell, build_parser, main, parse_range
 from freecactus.cumulants import ANTICOMMUTATOR_WEIGHTS, format_rational, parse_spec
 from freecactus.dp import dp_cumulants
@@ -218,6 +220,55 @@ def test_enumerate_cacti_output_is_frozen(capsys, argv, digest):
     # SHA-256 of the stdout the graph-based classification printed: class
     # order, representatives, members and bipartitions are all pinned.
     code, out, _err = run_cli(capsys, "enumerate", "cacti", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the stdout the listing printed while it read the bipartition
+# of every member, not once per class, for every n <= 5 in both formats.
+LISTINGS_READING_EVERY_MEMBER = {
+    "--n 1 --format json":
+        "972e68dbd0785ecd60d525078939a1186a19e71e2ad078d3f88cc734d09b1eec",
+    "--n 1 --format table":
+        "dfbff5ac2920a6516a0a2616c9596f552f550732f5aae3cab1e739587a116a7b",
+    "--n 1 --bipartite --format json":
+        "d1dc311e2d2fbbf7aab2c367f280a97c07e98a4ab224b2af158f0d1b7b295bce",
+    "--n 1 --bipartite --format table":
+        "933296d8d597eed6dfce7689b062f6eeca862e0dac81828de769f7500f7ffece",
+    "--n 2 --format json":
+        "a9bab7f10e989429aa3683ba39096fbfbb0e713107170ba6988b88c23c95358c",
+    "--n 2 --format table":
+        "10b1eae4c848b449339fc1108ecf58a39f2b456ab11ce8daca534843462a7fe0",
+    "--n 2 --bipartite --format json":
+        "3c66c638177e242850e7615f67a03536e45dbbf3116986fd3bd6d5eac52a5b2f",
+    "--n 2 --bipartite --format table":
+        "5928d91fcbef2107022fbaf034b610e27b044b571523326813e8a1706427dbc0",
+    "--n 3 --format json":
+        "8e2768d05b89dc673a70f8555fca100afde021be29658c6490b0cd6dd0d3a624",
+    "--n 3 --format table":
+        "5501bb4bf390e89bfc985f1bcb14834536381d86f1aa14c782fc7036f5744b5d",
+    "--n 3 --bipartite --format json":
+        "ec452c6f912292b2d6bc4aa8b6992cfb043a76b721f630343d60d80dc737ad8e",
+    "--n 3 --bipartite --format table":
+        "5e363313ac9a6081131c37d668ad980d47e1cda5be528dbf4773f7df722f388f",
+    "--n 4 --format table":
+        "aa52881e6e9a495381e6b3c24d6986a5459bc695f4cc2363457537d6e0796f45",
+    "--n 4 --bipartite --format json":
+        "5ef17698717ba76213b9822029da3b9dae9dacbb58e7ceb5914fdb218bd5323d",
+    "--n 5 --format json":
+        "0024b3f63d022cac03b8e7965e1d33d67f7d29ecad46becbcc615f8a5ce2eb2d",
+    "--n 5 --format table":
+        "f54ab7302be77a85de06f66dad5570ea349a71c454c141ba08d1148f57f65cb0",
+    "--n 5 --bipartite --format json":
+        "76f474e73c6f8b53c086710113b168562d6c63a1f4959b093d757bb0c43a52a3",
+    "--n 5 --bipartite --format table":
+        "fef2bffc927aac02fd304cfad3bbc7ba30705290982c75fa3599320718a67338",
+}
+
+
+@pytest.mark.parametrize("argv, digest", LISTINGS_READING_EVERY_MEMBER.items())
+def test_enumerate_cacti_listing_is_unchanged(capsys, argv, digest):
+    code, out, _err = run_cli(capsys, "enumerate", "cacti", *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -702,10 +753,12 @@ def test_cap_exits_three(capsys):
 @pytest.fixture
 def started(monkeypatch):
     """Ground sizes of the NC streams started, plain, connected or
-    odd-separating, in order."""
+    odd-separating, and of the cactus class tables generated (2n for n
+    edges, counted once built, as they walk no stream), in order."""
     sizes = []
     plain, connected = _core_py.iter_nc_blocks, _core_py.iter_connected_blocks
     odd_separating = _core_py.iter_y_blocks
+    generate = cactus_mod.enumerate_oriented_cacti
 
     def record_plain(m):
         sizes.append(m)
@@ -721,7 +774,14 @@ def started(monkeypatch):
 
     monkeypatch.setattr(_core_py, "iter_nc_blocks", record_plain)
     monkeypatch.setattr(_core_py, "iter_connected_blocks", record_connected)
+    def record_classes(n, *args, **kwargs):
+        classes = generate(n, *args, **kwargs)
+        sizes.append(2 * n)
+        return classes
+
     monkeypatch.setattr(_core_py, "iter_y_blocks", record_odd_separating)
+    monkeypatch.setattr(cactus_mod, "enumerate_oriented_cacti", record_classes)
+    monkeypatch.setattr(cumulants_mod, "enumerate_oriented_cacti", record_classes)
     return sizes
 
 
