@@ -32,7 +32,6 @@ from freecactus.cumulants import (
     even_anticommutator,
     format_rational,
     free_poisson_anticommutator_polynomial,
-    kappa_pi,
     moments_from_cumulants,
     oracle_anticommutator_cumulants,
     oracle_anticommutator_moments,

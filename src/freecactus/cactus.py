@@ -17,11 +17,12 @@ which is the signature alone, and it refuses a disconnected graph (the
 walk then misses a block).  The partitions they walk come from
 ``partitions.enumerate_connected``, which prunes the disconnected ones
 inside the NC(2n) recursion.
-``enumerate_oriented_cacti`` walks no partition: it generates one cactus
-per class, signature first, from the plane-cactus decomposition (at each
-vertex a sequence of blocks, each a bridge or a cycle), in depth-first
-order along the walk.  A class holds exactly 2^f_C partitions, so the
-class routes weight that one cactus by its class size.
+``enumerate_oriented_cacti`` walks no partition: its ``ClassStream``
+runs a depth-first search along the walk of the plane-cactus
+decomposition (at each vertex a sequence of blocks, each a bridge or a
+cycle) afresh for each iteration or count, yielding each class once,
+signature first, and keeping no table.  A class holds exactly 2^f_C
+partitions, so the class routes weight that one cactus by its class size.
 ``build_graph``, ``is_connected``, ``bipartition`` and
 ``validate_cactus`` are the independent graph-side reference for the
 self-checks and the tests only.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from freecactus.errors import check_cap
 from freecactus.partitions import DEFAULT_ENUMERATION_CAP, Partition, union_find_roots
@@ -371,17 +372,20 @@ def canonical_outercycle(p: Partition) -> OrientedCactus:
 
 def g_exponent(c: OrientedCactus) -> int:
     """The power-of-two exponent attached to an oriented cactus: 2 f_C + 1
-    when the first edge of the walk is flexible, else 2 f_C."""
-    return 2 * c.f_c + (0 if c.first_edge_rigid else 1)
+    when the first edge of the walk is flexible, else 2 f_C.  f_C leaves
+    out a flexible first edge, so this is twice the flexible edges less
+    one for a flexible first edge, read off one ``edge_rigidity``."""
+    rigidity = c.edge_rigidity
+    return 2 * rigidity.count(False) - (not rigidity[0])
 
 
 def enumerate_oriented_cacti(
     n: int,
     bipartite_only: bool = False,
     cap: int | None = None,
-) -> dict[Signature, OrientedCactus]:
-    """The oriented cactus classes with n edges: signature -> cactus,
-    generated from the plane-cactus decomposition without any partition.
+) -> ClassStream:
+    """The oriented cactus classes with n edges, one cactus each, streamed
+    from the plane-cactus decomposition without any partition or table.
 
     The root corner carries a sequence of blocks, n edges in all, and so
     does every further vertex.  A bridge from v walks (v, e), the block
@@ -389,51 +393,70 @@ def enumerate_oriented_cacti(
     walks (v, e_1), then for each new vertex w_i its block sequence and
     (w_i, e_{i+1}), e_k closing back at v.  Ids are handed out at first
     visit, so each walk is already the signature that
-    ``canonical_outercycle`` gives every member of the class.
+    ``canonical_outercycle`` gives every member of the class, and distinct
+    walks are distinct classes: each class comes once.
     ``bipartite_only`` allows even k only.  The order is that of a depth
     first search along the walk: at each vertex a bridge first, then the
     cycles by increasing k, then the end of the vertex's sequence.  The
-    cap is that of the NC(2n) enumeration the classes group, checked
-    before any work.
+    cap is that of the NC(2n) enumeration the classes group; it is checked
+    on the call, before the stream starts.
     """
     if n < 1:
         raise ValueError("n must be positive")
     check_cap(2 * n, cap, DEFAULT_ENUMERATION_CAP, f"enumerating NC({2 * n})")
-    shortest, step = (2, 2) if bipartite_only else (1, 1)  # cycle lengths k
-    classes: dict[Signature, OrientedCactus] = {}
-    walk: list[tuple[int, int]] = []
+    return ClassStream(n, bipartite_only)
 
-    def corner(v: int, used: int, fresh: int, frame: tuple | None, owed: int) -> None:
-        # frame is the innermost open block, (vertex it hangs from, edge,
-        # cycle edges still to walk, outer frame): a bridge to walk back
-        # along that edge when none are left, else a cycle; owed sums the
-        # edges the open cycles still need.  fresh is the next vertex id.
-        spare = n - used - owed
-        if spare:
-            walk.append((v, used))
-            corner(fresh, used + 1, fresh + 1, (v, used, 0, frame), owed)
-            for k in range(shortest, spare + 1, step):
-                if k == 1:
-                    corner(v, used + 1, fresh, frame, owed)
-                else:
-                    corner(fresh, used + 1, fresh + 1, (v, used, k - 1, frame), owed + k - 1)
-            walk.pop()
-        if frame is None:
-            if used == n:
-                signature = tuple(walk)
-                classes[signature] = OrientedCactus(signature)
-            return
-        parent, edge, left, outer = frame
-        if not left:
-            walk.append((v, edge))
-            corner(parent, used, fresh, outer, owed)
-        else:
-            walk.append((v, used))
-            if left == 1:
-                corner(parent, used + 1, fresh, outer, owed - 1)
+
+@dataclass(frozen=True)
+class ClassStream:
+    """The classes of ``enumerate_oriented_cacti``, which checks the cap, as
+    a stream.  Each iteration runs the depth-first search afresh, with its
+    own walk, and ``len`` counts one run; the stream keeps no class it yields."""
+
+    n: int
+    bipartite_only: bool
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __iter__(self) -> Iterator[OrientedCactus]:
+        n = self.n
+        shortest, step = (2, 2) if self.bipartite_only else (1, 1)  # cycle lengths k
+        walk: list[tuple[int, int]] = []
+
+        def corner(
+            v: int, used: int, fresh: int, frame: tuple | None, owed: int
+        ) -> Iterator[OrientedCactus]:
+            # frame is the innermost open block, (vertex it hangs from, edge,
+            # cycle edges still to walk, outer frame): a bridge to walk back
+            # along that edge when none are left, else a cycle; owed sums the
+            # edges the open cycles still need.  fresh is the next vertex id.
+            spare = n - used - owed
+            if spare:
+                walk.append((v, used))
+                yield from corner(fresh, used + 1, fresh + 1, (v, used, 0, frame), owed)
+                for k in range(shortest, spare + 1, step):
+                    if k == 1:
+                        yield from corner(v, used + 1, fresh, frame, owed)
+                    else:
+                        cycle = (v, used, k - 1, frame)
+                        yield from corner(fresh, used + 1, fresh + 1, cycle, owed + k - 1)
+                walk.pop()
+            if frame is None:
+                if used == n:
+                    yield OrientedCactus(tuple(walk))
+                return
+            parent, edge, left, outer = frame
+            if not left:
+                walk.append((v, edge))
+                yield from corner(parent, used, fresh, outer, owed)
             else:
-                corner(fresh, used + 1, fresh + 1, (parent, edge, left - 1, outer), owed - 1)
-        walk.pop()
+                walk.append((v, used))
+                if left == 1:
+                    yield from corner(parent, used + 1, fresh, outer, owed - 1)
+                else:
+                    cycle = (parent, edge, left - 1, outer)
+                    yield from corner(fresh, used + 1, fresh + 1, cycle, owed - 1)
+            walk.pop()
 
-    corner(0, 0, 1, None, 0)
-    return classes
+        return corner(0, 0, 1, None, 0)

@@ -10,11 +10,13 @@ structures of the companion modules.  Every cactus route, whether it sums
 over partitions or over oriented cactus classes, evaluates one colored sum
 on an ``OrientedCactus``, an outercycle signature: its degrees and its
 edges.  The partition routes walk each partition with
-``cactus.canonical_outercycle``; the class routes read one generated
-cactus per class from ``enumerate_oriented_cacti`` and weight it by the
-2^f_C class size, so no route keeps a class's member partitions.
-``integer_tables`` alone scales: every cactus route, and ``dp``, sums
-ints and divides once per order.
+``cactus.canonical_outercycle``; the class routes stream one generated
+cactus per class from ``enumerate_oriented_cacti`` and weight it by its
+class size (2^f_C, or 2^(g_C + 1) for as + sa), so no route keeps a class
+table or a class's member partitions.
+``integer_tables`` alone scales, and every paper route reads its block
+cumulant products from it: the cactus routes, the NC(n) sums of ab and of
+the even pair, and ``dp`` all sum ints and divide once per order.
 The series layer and the moment-cumulant conversions scale through the same
 ``lift``: ints over one denominator, each coefficient divided once.
 
@@ -33,7 +35,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from freecactus import _core_py
 from freecactus.cactus import (
@@ -44,7 +46,6 @@ from freecactus.cactus import (
 )
 from freecactus.errors import check_cap
 from freecactus.partitions import (
-    Partition,
     enumerate_connected,
     enumerate_nc,
     enumerate_y,
@@ -115,16 +116,6 @@ class CumulantSpec:
         if n <= len(self.values):
             return self.values[n - 1]
         return Fraction(0)
-
-    def kappa_product(self, sizes: Iterable[int]) -> Fraction:
-        """The product of kappa_s over ``sizes``, stopping at the first zero
-        factor; the empty product is 1."""
-        total = Fraction(1)
-        for s in sizes:
-            total *= self.kappa(s)
-            if not total:
-                break
-        return total
 
     def scaled(self, t) -> "CumulantSpec":
         """The spec of t times the variable: kappa_n picks up t^n.
@@ -208,26 +199,6 @@ ANTICOMMUTATOR_WEIGHTS = WeightMatrix(((0, 1), (1, 0)))
 PRODUCT_WEIGHTS = WeightMatrix(((0, 1), (0, 0)))
 
 
-def kappa_pi(p: Partition, word: Sequence[int], specs: Sequence[CumulantSpec]) -> Fraction:
-    """Product of block cumulants, zero when a block mixes colors.
-
-    ``word[i]`` is the 0-based color of position i+1, an index into
-    ``specs``.  Mixed cumulants of free variables vanish, which is what
-    the zero encodes.
-    """
-    if len(word) != p.ground_size:
-        raise ValueError(
-            f"word length {len(word)} does not match ground set {p.ground_size}"
-        )
-    total = Fraction(1)
-    for block in p.blocks:
-        color = word[block[0] - 1]
-        if any(word[x - 1] != color for x in block):
-            return Fraction(0)
-        total *= specs[color].kappa(len(block))
-    return total
-
-
 def lift(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """The one scaling rule: the integer numerators of ``values`` over d,
     the lcm of their denominators, and d itself (1 for no values)."""
@@ -238,7 +209,7 @@ def lift(values: Sequence[Fraction]) -> tuple[list[int], int]:
 def integer_tables(
     specs: Sequence[CumulantSpec], weights: WeightMatrix, top: int
 ) -> tuple[list[list[int]], list[list[int]], int]:
-    """The one exact scaling behind the dp and every cactus sum.  With D the
+    """The one exact scaling behind the dp and every paper route.  With D the
     lcm of the denominators of kappa_1..kappa_top over ``specs`` and E that
     of the weights: the rows kappa_r(a_c) D^r (row c, r = 0..top, zero at
     r = 0), the weights w E and the scale D^2 E.  A term of order n has
@@ -323,13 +294,16 @@ def product_cumulant(
 ) -> Fraction:
     """kappa_n(ab) for free a, b: the sum over non-crossing partitions of
     kappa_tau(a) times kappa over the Kreweras complement of tau applied
-    to b."""
-    total = Fraction(0)
-    for tau in enumerate_nc(n, cap=cap):
-        left = a.kappa_product(map(len, tau.blocks))
+    to b.  The block sizes of tau and of its complement each sum to n, so
+    every term is an int over scale^n on ``integer_tables``."""
+    stream = enumerate_nc(n, cap=cap)
+    (ka, kb), _w, scale = integer_tables((a, b), PRODUCT_WEIGHTS, n)
+    total = 0
+    for tau in stream:
+        left = math.prod(ka[len(block)] for block in tau.blocks)
         if left:
-            total += left * b.kappa_product(map(len, kreweras(tau).blocks))
-    return total
+            total += left * math.prod(kb[len(block)] for block in kreweras(tau).blocks)
+    return Fraction(total, scale**n)
 
 
 def anticommutator_cumulant(
@@ -360,7 +334,7 @@ def anticommutator_cumulant_graphwise(
     """kappa_n(ab + ba) by the cactus-class formula: over bipartite
     oriented cactus classes with n edges, 2^f_C times the colored sum at
     the weights of ab + ba.  Must agree with the partition route."""
-    classes = enumerate_oriented_cacti(n, bipartite_only=True, cap=cap).values()
+    classes = enumerate_oriented_cacti(n, bipartite_only=True, cap=cap)
     return _cactus_sum(((2**rep.f_c, rep) for rep in classes), (a, b), ANTICOMMUTATOR_WEIGHTS, n)
 
 
@@ -371,16 +345,16 @@ def semicircular_anticommutator(
 
     Zero at odd orders.  At order 2n the sum runs over ALL oriented cactus
     classes with n edges, bipartite or not, each weighted 2^(g_C + 1)
-    with the degree cumulants of a alone.
+    with the degree cumulants of a alone: the colored sum of a single
+    variable with unit weight.
     """
     if m < 1:
         raise ValueError("cumulant orders start at 1")
     if m % 2:
         return Fraction(0)
-    total = Fraction(0)
-    for rep in enumerate_oriented_cacti(m // 2, cap=cap).values():
-        total += 2 ** (g_exponent(rep) + 1) * a.kappa_product(rep.degrees)
-    return total
+    classes = enumerate_oriented_cacti(m // 2, cap=cap)
+    sized = ((2 ** (g_exponent(rep) + 1), rep) for rep in classes)
+    return _cactus_sum(sized, (a,), WeightMatrix(((1,),)), m // 2)
 
 
 def even_anticommutator(
@@ -392,7 +366,9 @@ def even_anticommutator(
     orders give zero.  At order 2n the value is twice the sum over pairs
     (pi1, pi2) of non-crossing partitions of [n] with pi2 refining the
     Kreweras complement of pi1, of the doubled-block-size cumulant
-    products of a over pi1 and b over pi2.
+    products of a over pi1 and b over pi2.  Each of pi1 and pi2 brings
+    doubled sizes summing to m, so on ``integer_tables`` every term is an
+    int over scale^m.
     """
     for j in range(1, m + 1, 2):
         if a.kappa(j) != 0 or b.kappa(j) != 0:
@@ -402,20 +378,20 @@ def even_anticommutator(
             )
     if m % 2:
         return Fraction(0)
-    n = m // 2
-    total = Fraction(0)
-    inner_cache = list(enumerate_nc(n, cap=cap))
+    inner_cache = list(enumerate_nc(m // 2, cap=cap))
+    (ka, kb), _w, scale = integer_tables((a, b), ANTICOMMUTATOR_WEIGHTS, m)
+    total = 0
     for p1 in inner_cache:
-        left = a.kappa_product(2 * len(block) for block in p1.blocks)
+        left = math.prod(ka[2 * len(block)] for block in p1.blocks)
         if not left:
             continue
         bound = kreweras(p1)
-        inner = Fraction(0)
+        inner = 0
         for p2 in inner_cache:
             if refines(p2, bound):
-                inner += b.kappa_product(2 * len(block) for block in p2.blocks)
+                inner += math.prod(kb[2 * len(block)] for block in p2.blocks)
         total += left * inner
-    return 2 * total
+    return Fraction(2 * total, scale**m)
 
 
 def _colored_sum(cactus: OrientedCactus, kappa: list[list[int]], weights: list[list[int]]) -> int:
@@ -493,7 +469,7 @@ def quadratic_form_cumulant(
     if route == "partition":
         sized = ((1, canonical_outercycle(p)) for p in enumerate_connected(n, cap=cap))
     elif route == "graph":
-        sized = ((2**rep.f_c, rep) for rep in enumerate_oriented_cacti(n, cap=cap).values())
+        sized = ((2**rep.f_c, rep) for rep in enumerate_oriented_cacti(n, cap=cap))
     else:
         raise ValueError(f"route must be 'partition' or 'graph', got {route!r}")
     return _cactus_sum(sized, specs, weights, n)

@@ -118,14 +118,14 @@ def euler_relation(rng: random.Random) -> str:
 
 def class_sizes(rng: random.Random) -> str:
     for n in range(1, 5):
-        classes = cactus_mod.enumerate_oriented_cacti(n)
+        classes = {c.signature: c for c in cactus_mod.enumerate_oriented_cacti(n)}
         sizes = Counter(
             cactus_mod.canonical_outercycle(p).signature for p in enumerate_connected(n)
         )
         require(sizes.keys() == classes.keys(), f"class signatures at n = {n}")
         walked = {s for s in sizes if cactus_mod.OrientedCactus(s).bipartition is not None}
-        bipartite = cactus_mod.enumerate_oriented_cacti(n, bipartite_only=True)
-        require(bipartite.keys() == walked, f"bipartite class signatures at n = {n}")
+        bipartite = {c.signature for c in cactus_mod.enumerate_oriented_cacti(n, bipartite_only=True)}
+        require(bipartite == walked, f"bipartite class signatures at n = {n}")
         for signature, rep in classes.items():
             require(sizes[signature] == 2**rep.f_c, signature)
         graphs = (cactus_mod.build_graph(p) for p in enumerate_nc(2 * n))

@@ -44,6 +44,17 @@ def connected_partitions(n):
     return [p for p in enumerate_nc(2 * n) if is_connected(build_graph(p))]
 
 
+def class_table(n, bipartite_only=False):
+    """The class stream as a table, signature -> cactus, in stream order;
+    a signature met twice fails, so every caller checks that the
+    generator yields each class once."""
+    table = {}
+    for c in enumerate_oriented_cacti(n, bipartite_only=bipartite_only):
+        assert c.signature not in table, f"class {c.signature} generated twice"
+        table[c.signature] = c
+    return table
+
+
 def grouped_members(n, bipartite_only=False):
     """The connected partitions of [2n] grouped by outercycle signature,
     classes and members in stream order: the walked reference for the
@@ -426,7 +437,7 @@ def test_walk_on_complements_of_y_is_bipartite_with_the_graph_sides(n):
 
 
 def test_two_edge_classes_are_frozen():
-    classes = enumerate_oriented_cacti(2)
+    classes = class_table(2)
     groups = grouped_members(2)
     assert classes.keys() == groups.keys()
     by_members = {
@@ -453,7 +464,7 @@ def test_two_edge_classes_are_frozen():
 
 
 def test_two_edge_bipartite_classes():
-    classes = enumerate_oriented_cacti(2, bipartite_only=True)
+    classes = class_table(2, bipartite_only=True)
     groups = grouped_members(2, bipartite_only=True)
     assert classes.keys() == groups.keys()
     sizes = sorted(len(members) for members in groups.values())
@@ -465,7 +476,7 @@ def test_two_edge_bipartite_classes():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_class_sizes_are_powers_of_two_from_f(n):
-    classes = enumerate_oriented_cacti(n)
+    classes = class_table(n)
     groups = grouped_members(n)
     assert classes.keys() == groups.keys()
     total = 0
@@ -484,21 +495,21 @@ def test_class_table_holds_the_cactus_of_each_first_member(n, bipartite_only):
         (signature, canonical_outercycle(members[0]))
         for signature, members in grouped_members(n, bipartite_only).items()
     ]
-    classes = enumerate_oriented_cacti(n, bipartite_only=bipartite_only)
+    classes = class_table(n, bipartite_only=bipartite_only)
     assert classes == dict(first_member_cacti)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_bipartite_table_is_the_filtered_full_table(n):
-    full = enumerate_oriented_cacti(n)
-    bipartite = enumerate_oriented_cacti(n, bipartite_only=True)
+    full = class_table(n)
+    bipartite = class_table(n, bipartite_only=True)
     assert bipartite == {s: c for s, c in full.items() if c.bipartition is not None}
 
 
 def test_two_edge_classes_come_in_generation_order():
     # Depth first along the walk: at each vertex a bridge, then cycles by
     # increasing length, then the end of the vertex's block sequence.
-    assert list(enumerate_oriented_cacti(2)) == [
+    assert list(class_table(2)) == [
         PATH,
         ((0, 0), (1, 1), (1, 0)),  # a bridge to a looped vertex
         STAR,
@@ -507,7 +518,7 @@ def test_two_edge_classes_come_in_generation_order():
         ((0, 0), (0, 1)),  # two loops
         DOUBLE,
     ]
-    assert list(enumerate_oriented_cacti(2, bipartite_only=True)) == [PATH, STAR, DOUBLE]
+    assert list(class_table(2, bipartite_only=True)) == [PATH, STAR, DOUBLE]
 
 
 def test_classes_are_generated_without_partitions(monkeypatch):
@@ -517,8 +528,8 @@ def test_classes_are_generated_without_partitions(monkeypatch):
     monkeypatch.setattr(_core_py, "iter_nc_blocks", refuse)
     monkeypatch.setattr(_core_py, "iter_connected_blocks", refuse)
     monkeypatch.setattr(cactus_mod, "canonical_outercycle", refuse)
-    assert [len(enumerate_oriented_cacti(n)) for n in range(1, 6)] == [2, 7, 30, 143, 728]
-    counts = [len(enumerate_oriented_cacti(n, bipartite_only=True)) for n in range(1, 6)]
+    assert [len(class_table(n)) for n in range(1, 6)] == [2, 7, 30, 143, 728]
+    counts = [len(class_table(n, bipartite_only=True)) for n in range(1, 6)]
     assert counts == [1, 3, 9, 32, 119]
 
 
@@ -526,7 +537,7 @@ def test_classes_are_generated_without_partitions(monkeypatch):
 def test_every_member_is_its_class_entry(n):
     """The cactus of any member, not only the first, equals the table's
     entry: the class is its signature, so nothing depends on the member."""
-    classes = enumerate_oriented_cacti(n)
+    classes = class_table(n)
     for p in enumerate_connected(n):
         c = canonical_outercycle(p)
         assert c == classes[c.signature]
@@ -535,17 +546,28 @@ def test_every_member_is_its_class_entry(n):
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_tree_classes_are_counted_by_catalan(n):
-    classes = enumerate_oriented_cacti(n)
+    classes = class_table(n)
     trees = [rep for rep in classes.values() if not any(rep.edge_rigidity)]
     assert len(trees) == catalan(n)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_all_degrees_even_iff_all_edges_rigid(n):
-    for rep in enumerate_oriented_cacti(n).values():
+    for rep in class_table(n).values():
         all_even = all(d % 2 == 0 for d in rep.degrees)
         all_rigid = all(rep.edge_rigidity)
         assert all_even == all_rigid
+
+
+def test_the_class_stream_runs_afresh_and_counts_a_run():
+    """Each iteration is its own search: an abandoned run leaves the next
+    one whole, and ``len`` counts a run without keeping it."""
+    stream = enumerate_oriented_cacti(3)
+    first = next(iter(stream))
+    assert [c.signature for c in stream] == list(class_table(3))
+    assert list(stream)[0] == first
+    assert len(stream) == 30
+    assert len(enumerate_oriented_cacti(3, bipartite_only=True)) == 9
 
 
 def test_enumerate_cacti_cap():

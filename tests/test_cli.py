@@ -753,8 +753,9 @@ def test_cap_exits_three(capsys):
 @pytest.fixture
 def started(monkeypatch):
     """Ground sizes of the NC streams started, plain, connected or
-    odd-separating, and of the cactus class tables generated (2n for n
-    edges, counted once built, as they walk no stream), in order."""
+    odd-separating, and of the cactus class streams started (2n for n
+    edges, counted once the cap has passed, as they walk no partition), in
+    order."""
     sizes = []
     plain, connected = _core_py.iter_nc_blocks, _core_py.iter_connected_blocks
     odd_separating = _core_py.iter_y_blocks

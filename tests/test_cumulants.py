@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import bruteforce
 from freecactus import (
     CumulantSpec,
-    Partition,
     ResourceCapError,
     WeightMatrix,
     anticommutator_cumulant,
@@ -29,8 +28,6 @@ from freecactus import (
     even_anticommutator,
     format_rational,
     free_poisson_anticommutator_polynomial,
-    interval_pairing,
-    kappa_pi,
     level_counts,
     moments_from_cumulants,
     oracle_anticommutator_cumulants,
@@ -157,32 +154,6 @@ def test_parse_spec_errors():
         parse_spec("cumulants:1,2")
 
 
-def test_kappa_product_empty_and_zero_factor():
-    x = CumulantSpec.explicit([2, 0, Fraction(1, 3)])
-    assert x.kappa_product([]) == 1
-    assert x.kappa_product([1, 2, 3]) == 0
-    assert x.kappa_product([1, 4]) == 0  # zero beyond the list
-    assert CumulantSpec.semicircular().kappa_product([2, 1, 2]) == 0
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        CumulantSpec.semicircular(),
-        CumulantSpec.free_poisson(Fraction(3, 2)),
-        CumulantSpec.explicit([1, Fraction(-2, 3), 0, 3, Fraction(1, 2)]),
-    ],
-    ids=lambda spec: spec.name,
-)
-def test_kappa_product_equals_the_plain_loop(spec):
-    for sizes in itertools.product(range(1, 7), repeat=3):
-        want = Fraction(1)
-        for s in sizes:
-            want *= spec.kappa(s)
-        assert spec.kappa_product(sizes) == want
-        assert spec.kappa_product(iter(sizes)) == want
-
-
 # ----------------------------------------------------------- WeightMatrix
 
 
@@ -219,33 +190,6 @@ def test_weight_matrix_json_roundtrip():
     assert w.to_json_obj() == obj
     with pytest.raises(ValueError, match="array of arrays"):
         WeightMatrix.from_json_obj(["1", "2"])
-
-
-# --------------------------------------------------------------- kappa_pi
-
-
-def test_kappa_pi_vanishes_on_mixed_block():
-    p = Partition.from_text("1 2")
-    specs = (fp1(), fp1())
-    assert kappa_pi(p, (0, 1), specs) == 0
-
-
-def test_kappa_pi_interval_pairing_of_semicirculars():
-    p = interval_pairing(2)
-    s = CumulantSpec.semicircular()
-    assert kappa_pi(p, (0, 0, 1, 1), (s, s)) == 1
-
-
-def test_kappa_pi_nested_pairing_squares_the_rate():
-    p = Partition.from_text("1 4|2 3")
-    lam = Fraction(3, 2)
-    spec = CumulantSpec.free_poisson(lam)
-    assert kappa_pi(p, (0, 1, 1, 0), (spec, spec)) == lam**2
-
-
-def test_kappa_pi_rejects_word_length_mismatch():
-    with pytest.raises(ValueError, match="word length"):
-        kappa_pi(Partition.from_text("1 2"), (0,), (fp1(),))
 
 
 # ------------------------------------------- moment-cumulant conversion
@@ -598,8 +542,8 @@ def test_colored_sum_matches_the_brute_force_sum(k):
     for weights in weight_sets:
         for n in range(1, 5):
             kappa, w, scale = integer_tables(specs, weights, 2 * n)
-            for signature, rep in enumerate_oriented_cacti(n).items():
-                g = build_graph(first_members[signature])
+            for rep in enumerate_oriented_cacti(n):
+                g = build_graph(first_members[rep.signature])
                 want = bruteforce.colored_sum(
                     g.vertex_count, g.edges, g.vertex_degrees, specs, weights.entries
                 )
