@@ -406,11 +406,15 @@ def _colored_sum(cactus: OrientedCactus, kappa: list[list[int]], weights: list[l
     each edge whose later endpoint is t.  A zero factor prunes every
     coloring below it.
     """
-    kappas = [[(c, row[s]) for c, row in enumerate(kappa) if row[s]] for s in cactus.degrees]
-    vertex_count = len(kappas)
+    edges = cactus.renumbered_edges()
+    vertex_count = 1 + max(map(max, edges))
+    degrees = [0] * vertex_count
     closing: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
-    for u, v in cactus.renumbered_edges():
+    for u, v in edges:
+        degrees[u] += 1
+        degrees[v] += 1
         closing[max(u, v)].append((u, v))
+    kappas = [[(c, row[s]) for c, row in enumerate(kappa) if row[s]] for s in degrees]
     coloring = [0] * vertex_count
     total = 0
 

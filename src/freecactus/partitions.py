@@ -12,8 +12,10 @@ Besides the lattice basics (restriction, interleaving, join with the
 all-partitions lattice, Kreweras complementation in both directions) this
 module knows the two special families the cumulant formulas are built on:
 the odd-separating partitions with even-only blocks of even size, and their
-Kreweras complements.  Enumeration sizes are guarded by an explicit cap so
-a stray large argument fails fast instead of running for hours.
+Kreweras complements.  The complement and the non-crossing test both read
+the cycles of one permutation product (``_complement_cycles``).
+Enumeration sizes are guarded by an explicit cap so a stray large argument
+fails fast instead of running for hours.
 """
 
 from __future__ import annotations
@@ -192,31 +194,42 @@ class YDecomposition:
     level: int
 
 
-def is_noncrossing(p: Partition) -> bool:
-    """Whether p has no crossing, checked by a linear stack scan.
+def _complement_cycles(p: Partition, forward: bool = True) -> list[list[int]]:
+    """Cycles of p^-1 gamma (forward) or gamma p^-1 (inverse), gamma = (1 2 .. m).
 
-    Scanning 1..m, a revisited block must sit on top of the stack of
-    unfinished blocks once finished ones are popped; otherwise two arcs
-    cross.  The brute-force four-element check in the test suite agrees
-    with this on every partition of up to five elements.
+    p is read as the permutation through each block in ascending order, so
+    p^-1 steps back along a block.  Cycles start at their minima and come
+    out in that order; inside a cycle the elements are in walk order.
     """
-    index_of = p._index_map()
-    first = {}
-    last = {}
-    for i, block in enumerate(p.blocks):
-        first[i] = block[0]
-        last[i] = block[-1]
-    stack: list[int] = []
-    for x in range(1, p.ground_size + 1):
-        b = index_of[x]
-        if first[b] == x:
-            stack.append(b)
-            continue
-        while stack and last[stack[-1]] < x:
-            stack.pop()
-        if not stack or stack[-1] != b:
-            return False
-    return True
+    m = p._size
+    prev = [0] * (m + 1)
+    for block in p._blocks:
+        a = block[-1]
+        for b in block:
+            prev[b] = a
+            a = b
+    image = [0, *prev[2:], prev[1]] if forward else [0, *[x % m + 1 for x in prev[1:]]]
+    cycles = []
+    for start in range(1, m + 1):
+        x = image[start]
+        if x:
+            cycle = [start]
+            image[start] = 0
+            while x != start:
+                cycle.append(x)
+                image[x], x = 0, image[x]
+            cycles.append(cycle)
+    return cycles
+
+
+def is_noncrossing(p: Partition) -> bool:
+    """Whether p has no crossing: |p| + |p^-1 gamma| = m + 1.
+
+    Always |p| + |p^-1 gamma| <= m + 1, with equality exactly when p is
+    non-crossing (Biane, "Some properties of crossings and partitions",
+    Discrete Math. 175, 1997), so the cycles are counted, not sorted.
+    """
+    return len(p._blocks) + len(_complement_cycles(p)) == p._size + 1
 
 
 def _require_noncrossing(p: Partition, op: str) -> None:
@@ -308,57 +321,32 @@ def interleave(odd_part: Partition, even_part: Partition) -> Partition:
     return Partition._unchecked(tuple(blocks), 2 * odd_part.ground_size)
 
 
-def _consecutive_arcs(p: Partition) -> tuple[dict[int, int], dict[int, int]]:
-    """Successor and predecessor maps along each block in ascending order."""
-    nxt: dict[int, int] = {}
-    prv: dict[int, int] = {}
-    for block in p.blocks:
-        for a, b in zip(block, block[1:]):
-            nxt[a] = b
-            prv[b] = a
-    return nxt, prv
+def _complement(p: Partition, forward: bool, op: str) -> Partition:
+    """The blocks of ``_complement_cycles``, refused unless p is non-crossing."""
+    cycles = _complement_cycles(p, forward)
+    m = p._size
+    if len(p._blocks) + len(cycles) != m + 1:
+        raise ValueError(f"{op} requires a non-crossing partition, got {p.to_text()!r}")
+    return Partition._unchecked(tuple(tuple(sorted(c)) for c in cycles), m)
 
 
 def kreweras(p: Partition, direction: str = "forward") -> Partition:
     """Kreweras complement of a non-crossing partition, or its inverse.
 
-    Forward: draw p on the odd positions 1, 3, .., 2m-1 of a 2m-point
-    line, with an arc between consecutive elements of each block.  Scan
-    left to right keeping a stack of open arcs; at an element's position,
-    first pop the arc ending there, then push the arc starting there.
-    Each even position joins the complement block keyed by the innermost
-    open arc above it (no open arc means the outer block).  The inverse
-    direction runs the mirrored scan with p on the even positions and the
-    result collected on the odds.
+    With p read as the permutation through each block in ascending order
+    and gamma = (1 2 .. m), the complement is the cycle partition of
+    p^-1 gamma, and its inverse that of gamma p^-1 (Nica & Speicher,
+    *Lectures on the Combinatorics of Free Probability*, 2006, Lecture
+    18).  A crossing p leaves fewer than m + 1 - |p| cycles (see
+    ``is_noncrossing``) and is refused in the same pass.
 
     Examples: the one-block partition of [2] maps to the two singletons;
-    "1|3|2 4" maps forward to "1 4|2 3".  The complement of an m-element
-    partition has m + 1 - |p| blocks, and forward then inverse is the
-    identity (both are exercised by the tests).
+    "1|3|2 4" maps forward to "1 4|2 3".  Forward then inverse is the
+    identity, and the complement has m + 1 - |p| blocks (both tested).
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    _require_noncrossing(p, "kreweras")
-    m = p.ground_size
-    nxt, prv = _consecutive_arcs(p)
-    input_on_odds = direction == "forward"
-    stack: list[int] = []
-    groups: dict[int, list[int]] = {}
-    for pos in range(1, 2 * m + 1):
-        pos_is_odd = pos % 2 == 1
-        if pos_is_odd == input_on_odds:
-            x = (pos + 1) // 2 if input_on_odds else pos // 2
-            if x in prv:
-                popped = stack.pop()
-                assert popped == prv[x], "open arcs out of order on a non-crossing input"
-            if x in nxt:
-                stack.append(x)
-        else:
-            slot = pos // 2 if input_on_odds else (pos + 1) // 2
-            key = stack[-1] if stack else 0
-            groups.setdefault(key, []).append(slot)
-    blocks = tuple(sorted((tuple(g) for g in groups.values()), key=lambda b: b[0]))
-    return Partition._unchecked(blocks, m)
+    return _complement(p, direction == "forward", "kreweras")
 
 
 def union_find_roots(size: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -496,9 +484,7 @@ def x_membership(p: Partition) -> bool:
     """
     if p.ground_size % 2:
         raise ValueError("x_membership is defined for even ground sets")
-    _require_noncrossing(p, "x_membership")
-    sigma = kreweras(p, "inverse")
-    return _y_decomposition(sigma) is not None
+    return _y_decomposition(_complement(p, False, "x_membership")) is not None
 
 
 def level_counts(m: int, cap: int | None = None) -> list[int]:

@@ -116,16 +116,25 @@ def euler_relation(rng: random.Random) -> str:
     return "simple cycles = inverse complement blocks - n, n <= 4"
 
 
+def _class_table(n: int, bipartite_only: bool) -> dict:
+    """Signature -> class over one pass of the stream; a repeat fails."""
+    table = {}
+    for c in cactus_mod.enumerate_oriented_cacti(n, bipartite_only=bipartite_only):
+        require(c.signature not in table, f"class yielded twice at n = {n}: {c.signature}")
+        table[c.signature] = c
+    return table
+
+
 def class_sizes(rng: random.Random) -> str:
     for n in range(1, 5):
-        classes = {c.signature: c for c in cactus_mod.enumerate_oriented_cacti(n)}
+        classes = _class_table(n, bipartite_only=False)
         sizes = Counter(
             cactus_mod.canonical_outercycle(p).signature for p in enumerate_connected(n)
         )
         require(sizes.keys() == classes.keys(), f"class signatures at n = {n}")
         walked = {s for s in sizes if cactus_mod.OrientedCactus(s).bipartition is not None}
-        bipartite = {c.signature for c in cactus_mod.enumerate_oriented_cacti(n, bipartite_only=True)}
-        require(bipartite == walked, f"bipartite class signatures at n = {n}")
+        bipartite = _class_table(n, bipartite_only=True)
+        require(bipartite.keys() == walked, f"bipartite class signatures at n = {n}")
         for signature, rep in classes.items():
             require(sizes[signature] == 2**rep.f_c, signature)
         graphs = (cactus_mod.build_graph(p) for p in enumerate_nc(2 * n))

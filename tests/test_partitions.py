@@ -150,7 +150,7 @@ def test_enumeration_cap():
         list(enumerate_nc(0))
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 9))
 def test_is_noncrossing_matches_quadruple_definition(m):
     for blocks in bruteforce.set_partitions(m):
         p = Partition(blocks)
@@ -172,10 +172,23 @@ def test_kreweras_frozen_examples():
 
 
 def test_kreweras_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction must be"):
         kreweras(Partition.whole(3), "backward")
-    with pytest.raises(ValueError):
-        kreweras(Partition.from_text("1 3|2 4"))  # crossing
+    with pytest.raises(ValueError, match="direction must be"):
+        kreweras(Partition.from_text("1 3|2 4"), "backward")  # direction first
+    crossing = [
+        Partition(blocks)
+        for m in range(4, 7)
+        for blocks in bruteforce.set_partitions(m)
+        if bruteforce.has_crossing(blocks)
+    ]
+    assert len(crossing) == (15 - 14) + (52 - 42) + (203 - 132)  # Bell minus Catalan
+    for p in crossing:
+        message = f"kreweras requires a non-crossing partition, got {p.to_text()!r}"
+        for direction in ("forward", "inverse"):
+            with pytest.raises(ValueError) as exc:
+                kreweras(p, direction)
+            assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -369,6 +382,8 @@ def test_x_membership_examples():
     assert not x_membership(Partition.whole(2))  # block graph is a single loop
     with pytest.raises(ValueError):
         x_membership(Partition.whole(3))
+    with pytest.raises(ValueError, match="^x_membership requires a non-crossing"):
+        x_membership(Partition.from_text("1 3|2 4"))
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import freecactus
+from freecactus import cactus as cactus_mod
 from freecactus import verify
 from freecactus.cli import main
 from freecactus.verify import SUITES, run_suite
@@ -83,6 +84,23 @@ def test_transfer_identity_catches_a_wrong_dp_cumulant(monkeypatch):
     summary = run_suite("series")
     assert [c["name"] for c in summary["checks"]] == PINNED["series"]
     assert "series.transfer_identity" in summary["failures"]
+
+
+def test_class_sizes_catches_a_class_yielded_twice(monkeypatch):
+    # A duplicate would collapse into one key of the signature table.
+    generate = cactus_mod.enumerate_oriented_cacti
+
+    def loops_twice(n, bipartite_only=False, cap=None):
+        loops = cactus_mod.OrientedCactus(tuple((0, e) for e in range(n)))
+        for c in generate(n, bipartite_only=bipartite_only, cap=cap):
+            yield c
+            if c == loops:
+                yield c
+
+    monkeypatch.setattr(cactus_mod, "enumerate_oriented_cacti", loops_twice)
+    summary = run_suite("cactus")
+    assert [c["name"] for c in summary["checks"]] == PINNED["cactus"]
+    assert summary["failures"] == ["cactus.class_sizes"]
 
 
 FAILING_UNDER_O = """
