@@ -69,17 +69,14 @@ from freecactus.partitions import (
     enumerate_connected,
     enumerate_nc,
     enumerate_y,
-    interleave,
     interval_pairing,
     is_noncrossing,
     join,
     kreweras,
     level_counts,
-    q_count,
     refines,
     restrict,
     x_membership,
-    y_membership,
 )
 
 __version__ = "0.1.0"

@@ -4,8 +4,8 @@ These are the innermost loops of the package: one recursion streaming
 NC(m) under one of three guards (none; the interval guard, for the
 partitions of NC(2n) with a connected block graph; the odd guard, for the
 odd-separating partitions), the level tally of the odd-separating stream,
-an independent count of NC(m), and the colored-word profile counts the
-oracle sums over.  Partition objects, rationals and so on live above.
+and the colored-word profile counts the oracle sums over.  Partition
+objects, rationals and so on live above.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ __all__ = [
     "iter_nc_blocks",
     "iter_connected_blocks",
     "iter_y_blocks",
-    "count_nc",
     "y_level_histogram",
     "word_profile_counts",
 ]
@@ -111,31 +110,6 @@ def _grow(block, idx, done, rest, lo, m, y):
         grown = 2 if y and x & 1 else y
         for gap in _nc_of(rest[idx:j], 0, m, y):
             yield from _grow(block + (x,), j + 1, done + gap, rest, lo, m, grown)
-
-
-def count_nc(m: int) -> int:
-    """Number of non-crossing partitions of {1..m} (the Catalan number C_m).
-
-    Computed by a scan DP over open-block stack heights rather than by a
-    binomial formula, so it independently cross-checks the enumeration: the
-    tests assert it equals the stream length of ``iter_nc_blocks``.  State
-    f[s] counts prefixes with s blocks still open; placing the next element
-    either opens a block (s -> s+1) or joins the block at depth i from the
-    top, closing the i blocks above it (s -> s-i for i = 0..s-1).
-    """
-    if m < 0:
-        raise ValueError("ground set size must be non-negative")
-    f = [1]
-    for _ in range(m):
-        g = [0] * (len(f) + 1)
-        for s, c in enumerate(f):
-            if not c:
-                continue
-            g[s + 1] += c
-            for target in range(1, s + 1):
-                g[target] += c
-        f = g
-    return sum(f)
 
 
 def y_level_histogram(m: int) -> list[int]:

@@ -23,8 +23,9 @@ The series layer and the moment-cumulant conversions scale through the same
 A brute-force oracle lives here too.  It knows nothing about those
 formulas: it expands powers of the expression into words, computes each
 mixed word moment as a sum over color-compatible non-crossing partitions
-(grouped by block profile, which is the same sum), and inverts the
-moment-cumulant recursion.  The tests drive both sides against each other.
+(grouped by weight and block profile over the words of one order, which
+is the same sum), and inverts the moment-cumulant recursion.  The tests
+drive both sides against each other.
 """
 
 from __future__ import annotations
@@ -498,21 +499,6 @@ def _profiles(colors: tuple[int, ...]):
     return _core_py.word_profile_counts(len(colors), colors)
 
 
-def _word_moment(colors: tuple[int, ...], specs: Sequence[CumulantSpec]) -> Fraction:
-    """Mixed moment of a colored word: the literal sum over color-kernel
-    refining non-crossing partitions of block cumulant products, grouped
-    by (color, size) block profile."""
-    total = Fraction(0)
-    for profile, count in _profiles(colors).items():
-        term = Fraction(count)
-        for color, size in profile:
-            term *= specs[color].kappa(size)
-            if term == 0:
-                break
-        total += term
-    return total
-
-
 def oracle_anticommutator_moments(
     a: CumulantSpec, b: CumulantSpec, n_max: int, cap: int | None = None
 ) -> list[Fraction]:
@@ -538,7 +524,11 @@ def oracle_quadratic_moments(
     """Moments of the quadratic form to order n_max, by brute expansion
     into the colored words of length 2j, each weighted by the product of
     its pair weights; the j-th power is a sum over j letter pairs, so only
-    pairs of nonzero weight are ever expanded."""
+    pairs of nonzero weight are ever expanded.  A word's moment is the sum
+    over color-kernel refining non-crossing partitions of block cumulant
+    products, grouped by (color, size) block profile.  The profile counts
+    of every word of one order add up as ints under (weight, profile), and
+    the cumulants are multiplied once per such key."""
     check_cap(n_max, cap, DEFAULT_QUADRATIC_ORACLE_CAP, f"oracle order {n_max}")
     weights.check_specs(specs)
     pairs = [
@@ -549,14 +539,24 @@ def oracle_quadratic_moments(
     ]
     out = []
     for j in range(1, n_max + 1):
-        total = Fraction(0)
+        counts: dict[tuple, int] = {}
         for chosen in itertools.product(pairs, repeat=j):
             word = ()
             weight = Fraction(1)
             for pair, w in chosen:
                 word += pair
                 weight *= w
-            total += weight * _word_moment(word, specs)
+            for profile, count in _profiles(word).items():
+                key = (weight, profile)
+                counts[key] = counts.get(key, 0) + count
+        total = Fraction(0)
+        for (weight, profile), count in counts.items():
+            term = weight * count
+            for color, size in profile:
+                term *= specs[color].kappa(size)
+                if term == 0:
+                    break
+            total += term
         out.append(total)
     return out
 

@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * "NC(m)" below means the non-crossing partitions of {1, .., m}: no four
   elements a < b < c < d with a, c in one block and b, d in another.
 
-Besides the lattice basics (restriction, interleaving, join with the
-all-partitions lattice, Kreweras complementation in both directions) this
+Besides the lattice basics (restriction, join with the all-partitions
+lattice, Kreweras complementation in both directions) this
 module knows the two special families the cumulant formulas are built on:
 the odd-separating partitions with even-only blocks of even size, and their
 Kreweras complements.  The complement and the non-crossing test both read
@@ -232,11 +232,6 @@ def is_noncrossing(p: Partition) -> bool:
     return len(p._blocks) + len(_complement_cycles(p)) == p._size + 1
 
 
-def _require_noncrossing(p: Partition, op: str) -> None:
-    if not is_noncrossing(p):
-        raise ValueError(f"{op} requires a non-crossing partition, got {p.to_text()!r}")
-
-
 def _wrap(stream, arg: int, m: int) -> Iterator[Partition]:
     """Partitions of [m] from the blocks of ``stream(arg)``, started lazily."""
     for blocks in stream(arg):
@@ -301,26 +296,6 @@ def restrict(p: Partition, subset: Sequence[int]) -> Partition:
     return Partition._unchecked(tuple(sorted(blocks, key=lambda b: b[0])), len(chosen))
 
 
-def interleave(odd_part: Partition, even_part: Partition) -> Partition:
-    """Place one partition on the odds and another on the evens of [2n].
-
-    Element i of ``odd_part`` becomes 2i-1, element i of ``even_part``
-    becomes 2i, and the blocks are kept as they are.  The result can be
-    crossing even when both inputs are non-crossing; it is always
-    parity-preserving, and it is the unique partition restricting to the
-    two inputs on the two parity classes with no mixed block.
-    """
-    if odd_part.ground_size != even_part.ground_size:
-        raise ValueError(
-            "interleave needs two partitions of the same ground set size, got "
-            f"{odd_part.ground_size} and {even_part.ground_size}"
-        )
-    blocks = [tuple(2 * x - 1 for x in block) for block in odd_part.blocks]
-    blocks += [tuple(2 * x for x in block) for block in even_part.blocks]
-    blocks.sort(key=lambda b: b[0])
-    return Partition._unchecked(tuple(blocks), 2 * odd_part.ground_size)
-
-
 def _complement(p: Partition, forward: bool, op: str) -> Partition:
     """The blocks of ``_complement_cycles``, refused unless p is non-crossing."""
     cycles = _complement_cycles(p, forward)
@@ -382,7 +357,9 @@ def join(p: Partition, q: Partition) -> Partition:
     groups: dict[int, list[int]] = {}
     for x in range(1, m + 1):
         groups.setdefault(roots[x], []).append(x)
-    blocks = tuple(sorted((tuple(g) for g in groups.values()), key=lambda b: b[0]))
+    # x runs upward, so each group is ascending and the groups are created,
+    # hence listed, in the order of their minima: already canonical.
+    blocks = tuple(tuple(g) for g in groups.values())
     return Partition._unchecked(blocks, m)
 
 
@@ -431,7 +408,8 @@ def classify(p: Partition) -> PartitionClassification:
 
 
 def _y_decomposition(p: Partition) -> YDecomposition | None:
-    """Core of y_membership, assuming p is already known non-crossing."""
+    """Decompose a non-crossing p as an odd-separating partition: no block
+    with two odds, every odd-free block of even size.  None if it is not."""
     odd_blocks: dict[int, tuple[int, ...]] = {}
     even_blocks: list[tuple[int, ...]] = []
     for block in p.blocks:
@@ -445,21 +423,6 @@ def _y_decomposition(p: Partition) -> YDecomposition | None:
                 return None
             even_blocks.append(block)
     return YDecomposition(odd_blocks, tuple(even_blocks), len(even_blocks))
-
-
-def y_membership(p: Partition) -> YDecomposition | None:
-    """Decompose p as an odd-separating partition, or report it is not one.
-
-    Membership requires: p non-crossing, no block with two odd elements,
-    and every block without odd elements of even size.  Returns the
-    decomposition (odd blocks keyed by their odd element, even-only
-    blocks, and the level, which is the count of even-only blocks), or
-    None.  The one-block partition of [2] is a member at level 0; the
-    two-singleton partition of [2] is not, since {2} is even-only with
-    odd size.
-    """
-    _require_noncrossing(p, "y_membership")
-    return _y_decomposition(p)
 
 
 def enumerate_y(m: int, cap: int | None = None) -> Iterator[Partition]:
@@ -501,15 +464,3 @@ def level_counts(m: int, cap: int | None = None) -> list[int]:
     check_cap(m, cap, DEFAULT_ENUMERATION_CAP, f"the level scan of m={m}")
     return _core_py.y_level_histogram(m)
 
-
-def q_count(p: Partition, cap: int | None = None) -> int:
-    """Number of odd-separating partitions of [2n] restricting to p on evens.
-
-    p is a non-crossing partition of [n]; the count is over odd-separating
-    sigma in [2n] with restrict(sigma, {2,4,..,2n}) == p.  For the
-    all-singletons p this is the Catalan number C_n.
-    """
-    _require_noncrossing(p, "q_count")
-    n = p.ground_size
-    evens = range(2, 2 * n + 1, 2)
-    return sum(1 for sigma in enumerate_y(2 * n, cap=cap) if restrict(sigma, evens) == p)

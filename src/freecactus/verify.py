@@ -1,14 +1,18 @@
 """Self-verification suites behind ``freecactus verify``.
 
 ``SUITES`` maps each suite to its checks in run order; a check is named
-suite.function.  A check takes the run's seeded ``random.Random`` and
-returns what it covered, or fails through ``require``, which ``python -O``
-does not strip as it does ``assert``.  Only the formulas suite draws from
-the generator.  Every check has fixed sizes inside the default caps.  The
-interval DP is the reference for every paper formula and series identity;
-the two routes_agree checks tie the DP itself to the partition route, the
-graph route and the word-expansion oracle, and the series checks tie it to
-the counting recursion.  Each series check runs a DP of its own.
+suite.function.  A check takes the run, a seeded ``random.Random`` that
+also holds the block-graph table of the cactus suite, and returns what it
+covered, or fails through ``require``, which ``python -O`` does not strip
+as it does ``assert``.  Only the formulas suite draws from the generator.
+The table builds each NC(2n) block graph, n <= 4, once per run, on first
+use; it dies with the run, so a reference patched between two runs is
+seen by the second.  Every check has fixed sizes inside the default caps.
+The interval DP is the reference for every paper formula and series
+identity; the two routes_agree checks tie the DP itself to the partition
+route, the graph route and the word-expansion oracle, and the series
+checks tie it to the counting recursion.  Each series check runs a DP of
+its own.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 from freecactus import cactus as cactus_mod
 from freecactus.cumulants import (
@@ -56,6 +61,24 @@ from freecactus.series import (
 )
 
 
+class _Run(random.Random):
+    """One run of the checks: the seeded generator, and the block-graph
+    table the cactus checks share, built on first use."""
+
+    @cached_property
+    def block_graphs(self) -> dict[int, list[tuple]]:
+        """n -> (p, connected, validation or None) for each p of NC(2n),
+        n <= 4: one ``build_graph`` per partition, validated if connected."""
+        table = {}
+        for n in range(1, 5):
+            rows = table[n] = []
+            for p in enumerate_nc(2 * n):
+                g = cactus_mod.build_graph(p)
+                connected = cactus_mod.is_connected(g)
+                rows.append((p, connected, cactus_mod.validate_cactus(g) if connected else None))
+        return table
+
+
 def require(condition, detail) -> None:
     """Fail the running check with ``detail`` unless ``condition`` holds."""
     if not condition:
@@ -87,31 +110,28 @@ def complement_of_family(rng: random.Random) -> str:
     return "complement image matches the graph test, n <= 4"
 
 
-def connectivity_is_join(rng: random.Random) -> str:
-    for n in range(1, 5):
-        for p in enumerate_nc(2 * n):
-            g = cactus_mod.build_graph(p)
+def connectivity_is_join(run: _Run) -> str:
+    for n, rows in run.block_graphs.items():
+        for p, connected, _ in rows:
             joined = join(p, interval_pairing(n))
-            require(cactus_mod.is_connected(g) == (len(joined) == 1), p)
+            require(connected == (len(joined) == 1), p)
     return "n <= 4"
 
 
-def connected_validates(rng: random.Random) -> str:
-    for n in range(1, 5):
-        for p in enumerate_nc(2 * n):
-            g = cactus_mod.build_graph(p)
-            if cactus_mod.is_connected(g):
-                require(cactus_mod.validate_cactus(g).is_cactus, p)
+def connected_validates(run: _Run) -> str:
+    for rows in run.block_graphs.values():
+        for p, connected, validation in rows:
+            if connected:
+                require(validation.is_cactus, p)
     return "every connected block graph is a cactus, n <= 4"
 
 
-def euler_relation(rng: random.Random) -> str:
-    for n in range(1, 5):
-        for p in enumerate_nc(2 * n):
-            g = cactus_mod.build_graph(p)
-            if not cactus_mod.is_connected(g):
+def euler_relation(run: _Run) -> str:
+    for n, rows in run.block_graphs.items():
+        for p, connected, validation in rows:
+            if not connected:
                 continue
-            count = cactus_mod.validate_cactus(g).simple_cycle_count
+            count = validation.simple_cycle_count
             require(count == len(kreweras(p, "inverse")) - n, p)
     return "simple cycles = inverse complement blocks - n, n <= 4"
 
@@ -125,8 +145,8 @@ def _class_table(n: int, bipartite_only: bool) -> dict:
     return table
 
 
-def class_sizes(rng: random.Random) -> str:
-    for n in range(1, 5):
+def class_sizes(run: _Run) -> str:
+    for n, rows in run.block_graphs.items():
         classes = _class_table(n, bipartite_only=False)
         sizes = Counter(
             cactus_mod.canonical_outercycle(p).signature for p in enumerate_connected(n)
@@ -137,8 +157,7 @@ def class_sizes(rng: random.Random) -> str:
         require(bipartite.keys() == walked, f"bipartite class signatures at n = {n}")
         for signature, rep in classes.items():
             require(sizes[signature] == 2**rep.f_c, signature)
-        graphs = (cactus_mod.build_graph(p) for p in enumerate_nc(2 * n))
-        require(sizes.total() == sum(map(cactus_mod.is_connected, graphs)), f"n = {n}")
+        require(sizes.total() == sum(connected for _, connected, _ in rows), f"n = {n}")
         trees = sum(1 for rep in classes.values() if not any(rep.edge_rigidity))
         require(trees == catalan(n), f"tree classes at n = {n}")
     return "sizes 2^fC, union complete, bipartite classes, trees Catalan, n <= 4"
@@ -247,9 +266,9 @@ SUITES = {
 }
 
 
-def _run_check(name: str, check, rng: random.Random) -> dict:
+def _run_check(name: str, check, run: _Run) -> dict:
     try:
-        detail = check(rng)
+        detail = check(run)
         return {"name": name, "pass": True, **({"detail": detail} if detail else {})}
     except AssertionError as exc:
         return {"name": name, "pass": False, "detail": str(exc) or "assertion failed"}
@@ -258,9 +277,9 @@ def _run_check(name: str, check, rng: random.Random) -> dict:
 def run_suite(suite: str = "all", seed: int = 1729) -> dict:
     """Run one suite, or all in table order, and return the summary; a
     failing check records its detail and the rest still run."""
-    rng = random.Random(seed)
+    run = _Run(seed)
     results = [
-        _run_check(f"{name}.{check.__name__}", check, rng)
+        _run_check(f"{name}.{check.__name__}", check, run)
         for name in (SUITES if suite == "all" else (suite,))
         for check in SUITES[name]
     ]

@@ -4,7 +4,10 @@ Nothing here shares an algorithm with the library: set partitions come
 from restricted growth strings, crossings from the four-element
 definition, Kreweras complements from a permutation composition and from
 the lattice-maximality definition, moments from literal sums over all
-partitions.  Slow on purpose; callers keep the sizes small.
+partitions.  Slow on purpose; callers keep the sizes small.  The
+partition helpers at the end have no caller in the library; ``q_count``
+alone counts the library's odd-separating stream, which the tests hold to
+``y_membership`` here.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from freecactus.partitions import Partition
+from freecactus.partitions import Partition, YDecomposition, enumerate_y, restrict
 
 
 def set_partitions(m):
@@ -197,3 +200,120 @@ def colored_sum(nv, edges, sizes, specs, weights):
             term *= specs[coloring[i]].kappa(sizes[i])
         total += term
     return total
+
+
+def quadratic_moments_per_word(specs, weights, n_max):
+    """Moments of sum w_cd a_c a_d to n_max, one Fraction sum per word: the
+    j-th power expanded into its words of j letter pairs, each weighted by
+    its pair weights and summed over the non-crossing partitions of its
+    positions that refine its colors, one cumulant product per partition.
+    ``weights`` is a ``WeightMatrix``."""
+    pairs = [
+        ((c, d), w)
+        for c, row in enumerate(weights.entries)
+        for d, w in enumerate(row)
+        if w
+    ]
+    out = []
+    for j in range(1, n_max + 1):
+        partitions = list(noncrossing_partitions(2 * j))
+        total = Fraction(0)
+        for chosen in itertools.product(pairs, repeat=j):
+            colors = [c for pair, _ in chosen for c in pair]
+            weight = Fraction(1)
+            for _, w in chosen:
+                weight *= w
+            word_moment = Fraction(0)
+            for blocks in partitions:
+                if all(len({colors[x - 1] for x in block}) == 1 for block in blocks):
+                    term = Fraction(1)
+                    for block in blocks:
+                        term *= specs[colors[block[0] - 1]].kappa(len(block))
+                    word_moment += term
+            total += weight * word_moment
+        out.append(total)
+    return out
+
+
+def count_nc(m):
+    """Number of non-crossing partitions of {1..m} (the Catalan number C_m).
+
+    Computed by a scan DP over open-block stack heights rather than by a
+    binomial formula, so it independently cross-checks the enumeration: the
+    tests assert it equals the stream length of ``iter_nc_blocks``.  State
+    f[s] counts prefixes with s blocks still open; placing the next element
+    either opens a block (s -> s+1) or joins the block at depth i from the
+    top, closing the i blocks above it (s -> s-i for i = 0..s-1).
+    """
+    if m < 0:
+        raise ValueError("ground set size must be non-negative")
+    f = [1]
+    for _ in range(m):
+        g = [0] * (len(f) + 1)
+        for s, c in enumerate(f):
+            if not c:
+                continue
+            g[s + 1] += c
+            for target in range(1, s + 1):
+                g[target] += c
+        f = g
+    return sum(f)
+
+
+def interleave(odd_part: Partition, even_part: Partition) -> Partition:
+    """Place one partition on the odds and another on the evens of [2n].
+
+    Element i of ``odd_part`` becomes 2i-1, element i of ``even_part``
+    becomes 2i, and the blocks are kept as they are.  The result can be
+    crossing even when both inputs are non-crossing; it is always
+    parity-preserving, and it is the unique partition restricting to the
+    two inputs on the two parity classes with no mixed block.
+    """
+    if odd_part.ground_size != even_part.ground_size:
+        raise ValueError(
+            "interleave needs two partitions of the same ground set size, got "
+            f"{odd_part.ground_size} and {even_part.ground_size}"
+        )
+    blocks = [tuple(2 * x - 1 for x in block) for block in odd_part.blocks]
+    blocks += [tuple(2 * x for x in block) for block in even_part.blocks]
+    return Partition(blocks)
+
+
+def y_membership(p: Partition):
+    """Decompose p as an odd-separating partition, or return None.
+
+    Straight from the definition: p is non-crossing (ValueError
+    otherwise), its odd elements lie in pairwise distinct blocks, and each
+    block holding no odd element has even size.  The decomposition keys
+    each odd element's block by it, lists the odd-free blocks, and counts
+    them as the level.  Crossings are read off arcs, the pairs of
+    neighbours in a block: a crossing a < b < c < d narrows to neighbours
+    a' < b' < c' < d' of the same two blocks, so arcs cross exactly when
+    blocks do, and NC(12) is tested in O(m^2) per partition.
+    """
+    arcs = [(a, c) for block in p.blocks for a, c in zip(block, block[1:])]
+    if any(a < b < c < d for a, c in arcs for b, d in arcs):
+        raise ValueError(f"y_membership requires a non-crossing partition, got {p.to_text()!r}")
+    owner = {x: block for block in p.blocks for x in block}
+    odds = range(1, p.ground_size + 1, 2)
+    if len({owner[x] for x in odds}) != len(odds):
+        return None
+    odd_free = tuple(b for b in p.blocks if not any(x % 2 for x in b))
+    if any(len(b) % 2 for b in odd_free):
+        return None
+    return YDecomposition({x: owner[x] for x in odds}, odd_free, len(odd_free))
+
+
+def q_count(p: Partition, cap=None) -> int:
+    """Number of odd-separating partitions of [2n] restricting to p on evens.
+
+    p is a non-crossing partition of [n]; the count is over odd-separating
+    sigma in [2n] with restrict(sigma, {2,4,..,2n}) == p.  For the
+    all-singletons p this is the Catalan number C_n.  The cap is that of
+    ``enumerate_y(2n)``.
+    """
+    if has_crossing(p.blocks):
+        raise ValueError(f"q_count requires a non-crossing partition, got {p.to_text()!r}")
+    n = p.ground_size
+    evens = range(2, 2 * n + 1, 2)
+    return sum(1 for sigma in enumerate_y(2 * n, cap=cap) if restrict(sigma, evens) == p)

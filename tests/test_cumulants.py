@@ -39,6 +39,7 @@ from freecactus import (
     quadratic_form_cumulant,
     semicircular_anticommutator,
 )
+from freecactus import cumulants
 from freecactus.cactus import build_graph, canonical_outercycle, enumerate_oriented_cacti
 from freecactus.cumulants import (
     _colored_sum,
@@ -48,6 +49,7 @@ from freecactus.cumulants import (
     oracle_quadratic_moments,
     random_explicit_spec,
 )
+from freecactus.verify import run_suite
 
 SEED = 1729
 
@@ -636,6 +638,39 @@ def test_quadratic_oracle_matches_doubly_literal_expansion():
             if weight:
                 want += weight * bruteforce.word_moment_literal(kappa_of, word)
         assert got[j - 1] == want
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_oracle_matches_the_per_word_sum(k, symmetric):
+    """The oracle's table over (weight, profile) adds up to the literal
+    per-word sum, for symmetric and asymmetric weights."""
+    rng = random.Random(SEED + 16 + 2 * k + symmetric)
+    specs = tuple(random_explicit_spec(rng, 6) for _ in range(k))
+    if symmetric:
+        weights = random_weight_matrix(rng, k)
+    else:
+        rows = [[Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(k)]
+                for _ in range(k)]
+        weights = WeightMatrix(tuple(map(tuple, rows)))
+    want = bruteforce.quadratic_moments_per_word(specs, weights, 3)
+    assert oracle_quadratic_moments(specs, weights, 3) == want
+
+
+def test_a_wrong_profile_count_fails_the_quadratic_check(monkeypatch):
+    # Every oracle moment goes through _profiles, so one extra partition
+    # in one profile must break the four-way agreement of verify.
+    profiles = cumulants._profiles
+
+    def one_more(colors):
+        counts = dict(profiles(colors))
+        first = next(iter(counts))
+        counts[first] += 1
+        return counts
+
+    monkeypatch.setattr(cumulants, "_profiles", one_more)
+    summary = run_suite("formulas")
+    assert "formulas.quadratic_routes_agree" in summary["failures"]
 
 
 def test_oracle_caps():

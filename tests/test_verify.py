@@ -103,6 +103,27 @@ def test_class_sizes_catches_a_class_yielded_twice(monkeypatch):
     assert summary["failures"] == ["cactus.class_sizes"]
 
 
+def test_a_wrong_cycle_count_fails_only_the_euler_relation(monkeypatch):
+    # The three graph checks read one table; each reads its own column.
+    validate = cactus_mod.validate_cactus
+
+    def one_cycle_more(g):
+        v = validate(g)
+        return v._replace(simple_cycle_count=v.simple_cycle_count + 1)
+
+    monkeypatch.setattr(cactus_mod, "validate_cactus", one_cycle_more)
+    summary = run_suite("cactus")
+    assert [c["name"] for c in summary["checks"]] == PINNED["cactus"]
+    assert summary["failures"] == ["cactus.euler_relation"]
+
+
+def test_no_block_graph_table_outlives_a_run(monkeypatch):
+    assert run_suite("cactus")["failed"] == 0
+    connected = cactus_mod.is_connected
+    monkeypatch.setattr(cactus_mod, "is_connected", lambda g: not connected(g))
+    assert run_suite("cactus")["failed"] > 0
+
+
 FAILING_UNDER_O = """
 import sys
 if __debug__:
