@@ -63,7 +63,6 @@ from freecactus.partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
     PartitionClassification,
-    YDecomposition,
     catalan,
     classify,
     enumerate_connected,

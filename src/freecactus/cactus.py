@@ -25,7 +25,10 @@ signature first, and keeping no table.  A class holds exactly 2^f_C
 partitions, so the class routes weight that one cactus by its class size.
 ``build_graph``, ``is_connected``, ``bipartition`` and
 ``validate_cactus`` are the independent graph-side reference for the
-self-checks and the tests only.
+self-checks and the tests only.  They search no graph of their own: every
+question they ask, connectivity, two-coloring (on the bipartite double
+cover), the blocks and the cycles of an edge subset, is answered by
+``partitions.union_find_roots``.
 """
 
 from __future__ import annotations
@@ -173,83 +176,49 @@ def is_connected(g: BlockMultigraph) -> bool:
 
 
 def bipartition(g: BlockMultigraph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Two-color g from vertex 0, the block of 1, by graph search.
+    """Two-color g from vertex 0, the block of 1, on its double cover.
 
-    Returns (V', V'') with vertex 0 in V', or None when some cycle is odd
-    (a loop counts as an odd cycle).  The graph must be connected.
+    The cover has vertices v and v + N, N the vertex count, and each edge
+    joins opposite sides, so v meets v + N exactly along an odd closed
+    walk.  Returns (V', V'') with vertex 0 in V', the vertices the cover
+    joins to 0, or None when some cycle is odd (a loop counts as an odd
+    cycle).  The graph must be connected.
     """
     if not is_connected(g):
         raise ValueError("bipartition needs a connected graph")
-    color = {0: 0}
-    queue = [0]
-    adjacency: dict[int, list[int]] = {v: [] for v in range(g.vertex_count)}
-    for u, v in g.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    while queue:
-        u = queue.pop()
-        for w in adjacency[u]:
-            if w not in color:
-                color[w] = 1 - color[u]
-                queue.append(w)
-            elif color[w] == color[u]:
-                return None
-    side0 = tuple(v for v in range(g.vertex_count) if color[v] == 0)
-    side1 = tuple(v for v in range(g.vertex_count) if color[v] == 1)
+    n = g.vertex_count
+    cover = [(u, v + n) for u, v in g.edges] + [(u + n, v) for u, v in g.edges]
+    roots = union_find_roots(2 * n, cover)
+    if any(roots[v] == roots[v + n] for v in range(n)):
+        return None
+    side0 = tuple(v for v in range(n) if roots[v] == roots[0])
+    side1 = tuple(v for v in range(n) if roots[v] != roots[0])
     return side0, side1
 
 
 def _biconnected_edge_components(g: BlockMultigraph) -> list[list[int]]:
-    """Edge ids grouped by biconnected component; loops excluded."""
-    adjacency: dict[int, list[tuple[int, int]]] = {
-        v: [] for v in range(g.vertex_count)
-    }
-    for eid, (u, v) in enumerate(g.edges):
-        if u == v:
+    """Edge ids grouped by biconnected component; loops excluded.
+
+    Two edges at a vertex x share a block exactly when their other ends
+    are joined in g - x (a parallel pair shares its other end), and edges
+    of one block are linked by such pairs, so union-find over the edges
+    closes that relation into the blocks.  Each edge at x is linked to
+    the first edge at x whose other end has the same root in g - x; a
+    vertex with fewer than two such edges links nothing.
+    """
+    links = []
+    for x in range(g.vertex_count):
+        at_x = [(eid, u + v - x) for eid, (u, v) in enumerate(g.edges) if (u == x) != (v == x)]
+        if len(at_x) < 2:
             continue
-        adjacency[u].append((v, eid))
-        adjacency[v].append((u, eid))
-    components: list[list[int]] = []
-    visited: set[int] = set()
-    depth: dict[int, int] = {}
-    low: dict[int, int] = {}
-    estack: list[int] = []
-
-    # Plain recursive Tarjan; the depth is at most the vertex count, so only
-    # a graph of about a thousand vertices would reach Python's recursion
-    # limit.
-    def rec(u: int, in_edge: int) -> None:
-        visited.add(u)
-        for w, eid in adjacency[u]:
-            if eid == in_edge:
-                continue
-            if w in visited and depth.get(w, 0) >= depth[u]:
-                continue
-            if w in visited:
-                # back edge to an ancestor
-                estack.append(eid)
-                low[u] = min(low[u], depth[w])
-                continue
-            depth[w] = depth[u] + 1
-            low[w] = depth[w]
-            estack.append(eid)
-            rec(w, eid)
-            low[u] = min(low[u], low[w])
-            if low[w] >= depth[u]:
-                comp = []
-                while True:
-                    e = estack.pop()
-                    comp.append(e)
-                    if e == eid:
-                        break
-                components.append(comp)
-
-    for v in range(g.vertex_count):
-        if v not in visited:
-            depth[v] = 0
-            low[v] = 0
-            rec(v, -1)
-    return components
+        roots = union_find_roots(g.vertex_count, (e for e in g.edges if x not in e))
+        first: dict[int, int] = {}
+        links += [(eid, first.setdefault(roots[y], eid)) for eid, y in at_x]
+    components: dict[int, list[int]] = {}
+    for eid, root in enumerate(union_find_roots(len(g.edges), links)):
+        if g.edges[eid][0] != g.edges[eid][1]:
+            components.setdefault(root, []).append(eid)
+    return list(components.values())
 
 
 def validate_cactus(g: BlockMultigraph) -> CactusValidation:
@@ -301,19 +270,8 @@ def _count_cycles_exhaustively(g: BlockMultigraph, edge_ids: list[int]) -> int:
             deg[v] = deg.get(v, 0) + 1
         if any(d != 2 for d in deg.values()):
             continue
-        seen = {next(iter(deg))}
-        frontier = list(seen)
-        adj: dict[int, list[int]] = {}
-        for u, v in used:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        while frontier:
-            u = frontier.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if seen == set(deg):
+        roots = union_find_roots(g.vertex_count, used)
+        if len({roots[v] for v in deg}) == 1:
             total += 1
     return total
 

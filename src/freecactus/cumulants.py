@@ -36,6 +36,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from freecactus import _core_py
@@ -207,6 +208,14 @@ def lift(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in values], d
 
 
+def convolve(xs: Sequence[int], ys: Sequence[int], n: int) -> int:
+    """The one truncated convolution: [z^n] of (sum xs_i z^i)(sum ys_j z^j).
+    Each list is read only as far as it reaches and counts as zero beyond,
+    so a caller passes the coefficients computed so far and no index range."""
+    lo, hi = max(0, n + 1 - len(ys)), min(n, len(xs) - 1)
+    return sum(map(mul, xs[lo : hi + 1], reversed(ys[n - hi : n + 1 - lo])))
+
+
 def integer_tables(
     specs: Sequence[CumulantSpec], weights: WeightMatrix, top: int
 ) -> tuple[list[list[int]], list[list[int]], int]:
@@ -245,8 +254,7 @@ def _moment_cumulant_walk(known: Sequence, from_moments: bool) -> list:
         for k in range(1, n):
             j = n - k
             if k > 1:
-                prev = powers[k - 1]
-                powers[k].append(sum(prev[i] * moments[j - i] for i in range(j + 1)))
+                powers[k].append(convolve(powers[k - 1], moments, j))
             lower += kappas[k - 1] * powers[k][j]
         if from_moments:
             moments.append(value)

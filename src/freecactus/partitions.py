@@ -21,7 +21,6 @@ fails fast instead of running for hours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from freecactus import _core_py
@@ -177,21 +176,6 @@ class PartitionClassification(NamedTuple):
     parity_preserving: bool
     pairing: bool
     interval: bool
-
-
-@dataclass(frozen=True)
-class YDecomposition:
-    """Witness that a partition separates the odd elements.
-
-    ``odd_blocks`` maps each odd element of the ground set to the block
-    containing it (distinct odds land in distinct blocks); ``even_blocks``
-    are the remaining blocks, which contain only even elements and have
-    even size; ``level`` is the number of those even-only blocks.
-    """
-
-    odd_blocks: dict[int, tuple[int, ...]]
-    even_blocks: tuple[tuple[int, ...], ...]
-    level: int
 
 
 def _complement_cycles(p: Partition, forward: bool = True) -> list[list[int]]:
@@ -407,24 +391,6 @@ def classify(p: Partition) -> PartitionClassification:
     return PartitionClassification(even, parity_preserving, pairing, interval)
 
 
-def _y_decomposition(p: Partition) -> YDecomposition | None:
-    """Decompose a non-crossing p as an odd-separating partition: no block
-    with two odds, every odd-free block of even size.  None if it is not."""
-    odd_blocks: dict[int, tuple[int, ...]] = {}
-    even_blocks: list[tuple[int, ...]] = []
-    for block in p.blocks:
-        odds = [x for x in block if x % 2]
-        if len(odds) > 1:
-            return None
-        if odds:
-            odd_blocks[odds[0]] = block
-        else:
-            if len(block) % 2:
-                return None
-            even_blocks.append(block)
-    return YDecomposition(odd_blocks, tuple(even_blocks), len(even_blocks))
-
-
 def enumerate_y(m: int, cap: int | None = None) -> Iterator[Partition]:
     """Stream the odd-separating partitions of [m] in the order of
     ``enumerate_nc(m)``.  ``_core_py.iter_y_blocks`` prunes the others
@@ -447,7 +413,13 @@ def x_membership(p: Partition) -> bool:
     """
     if p.ground_size % 2:
         raise ValueError("x_membership is defined for even ground sets")
-    return _y_decomposition(_complement(p, False, "x_membership")) is not None
+    # The inverse complement is odd-separating: no block with two odds,
+    # every odd-free block of even size.
+    for block in _complement(p, False, "x_membership").blocks:
+        odds = sum(x % 2 for x in block)
+        if odds > 1 or (odds == 0 and len(block) % 2):
+            return False
+    return True
 
 
 def level_counts(m: int, cap: int | None = None) -> list[int]:

@@ -4,12 +4,14 @@ generating-function identities it satisfies.
 
 A TruncatedSeries carries coefficients c_0..c_N for a fixed order N and
 every operation stays exact: results of binary operations carry the
-minimum order of the operands, compositional inverses are extracted
-coefficient by coefficient, and square roots branch to the positive
-constant term.  Products, quotients and square roots lift each operand
-once, by ``cumulants.lift``, to integer numerators over one denominator,
-run their loops on ints and divide each coefficient once; composition and
-inversion inherit that through the product.  On top of that sit the series
+minimum order of the operands, compositional inverses come from Lagrange
+inversion, and square roots branch to the positive constant term.
+Products, quotients and square roots lift each operand once, by
+``cumulants.lift``, to integer numerators over one denominator, take each
+coefficient from the one truncated convolution ``cumulants.convolve`` on
+ints and divide it once; composition and inversion inherit that through
+the product and the quotient, and the counting recursion runs on the same
+convolution.  On top of that sit the series
 pair (A, B) counting the odd-separating partitions by parity, residual
 checks for the four functional equations tying them together, the closed
 form of the inverted moment series, and the degree-six polynomial
@@ -24,6 +26,7 @@ from typing import NamedTuple, Sequence
 
 from freecactus.cumulants import (
     CumulantSpec,
+    convolve,
     format_rational,
     lift,
     moments_from_cumulants,
@@ -157,16 +160,12 @@ class TruncatedSeries:
             return NotImplemented
         a, b, n = self._aligned(other)
         (xs, da), (ys, db) = lift(a.coeffs), lift(b.coeffs)
-        # Loop over the sparser operand, so scalar and monomial factors cost
-        # O(n) on either side.
-        if sum(1 for c in ys if c) < sum(1 for c in xs if c):
-            xs, ys = ys, xs
-        out = [0] * (n + 1)
-        for i, x in enumerate(xs):
-            if x:
-                for j in range(n + 1 - i):
-                    out[i + j] += x * ys[j]
-        return TruncatedSeries(n, tuple(Fraction(c, da * db) for c in out))
+        # Without trailing zeros, scalar and monomial factors cost O(n).
+        for cs in (xs, ys):
+            while cs and not cs[-1]:
+                cs.pop()
+        d = da * db
+        return TruncatedSeries(n, tuple(Fraction(convolve(xs, ys, k), d) for k in range(n + 1)))
 
     __rmul__ = __mul__
 
@@ -179,6 +178,12 @@ class TruncatedSeries:
         return result
 
     def __truediv__(self, other):
+        """The quotient by a unit divisor, one coefficient at a time.
+
+        On the lifted ints x and y, u_k = out_k y_0^(k+1) dx / dy is an int
+        with u_k = x_k y_0^k - sum over i >= 1 of y_i y_0^(i-1) u_(k-i), so
+        once the divisor's y_i carry their powers of y_0 the recursion is
+        one convolution per order and never divides."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -188,14 +193,12 @@ class TruncatedSeries:
                 f"series division needs a unit divisor, got c_0 = 0"
             )
         (xs, dx), (ys, dy) = lift(a.coeffs), lift(b.coeffs)
-        # u_k = out_k y_0^(k+1) dx / dy is an int: the recursion never divides.
         powers = [ys[0] ** k for k in range(n + 2)]
-        u = []
+        # Entry 0 pairs with u_k, not yet known, so the convolution never reads it.
+        scaled = [0] + [y * p for y, p in zip(ys[1:], powers)]
+        u: list[int] = []
         for k in range(n + 1):
-            acc = xs[k] * powers[k]
-            for i in range(1, k + 1):
-                acc -= ys[i] * u[k - i] * powers[i - 1]
-            u.append(acc)
+            u.append(xs[k] * powers[k] - convolve(scaled, u, k))
         return TruncatedSeries(n, tuple(Fraction(x * dy, dx * p) for x, p in zip(u, powers[1:])))
 
     def __rtruediv__(self, other):
@@ -233,11 +236,12 @@ class TruncatedSeries:
         return result
 
     def comp_inverse(self) -> "TruncatedSeries":
-        """The compositional inverse, coefficient by coefficient.
+        """The compositional inverse, by Lagrange inversion:
+        [z^k] f^(-1) = [w^(k-1)] (w / f(w))^k / k.
 
-        At each order the only unknown enters linearly through c_1, so
-        composing with the partial inverse and correcting the top
-        coefficient is a complete triangular solve."""
+        w / f(w) is one division of f shifted down, and its powers come one
+        product each, so order N costs N products, O(N^3) in all
+        (Flajolet and Sedgewick, Analytic Combinatorics, 2009, A.6)."""
         if self.coeffs[0] != 0:
             raise ValueError(
                 f"compositional inverse needs c_0 = 0, got c_0 = {self.coeffs[0]}"
@@ -247,12 +251,12 @@ class TruncatedSeries:
             raise ValueError(
                 f"compositional inverse needs c_1 invertible, got c_1 = {c1}"
             )
-        inv = [Fraction(0)] * (self.order + 1)
-        inv[1] = 1 / self.coeffs[1]
-        for k in range(2, self.order + 1):
-            partial = TruncatedSeries(k, tuple(inv[: k + 1]))
-            residue = self.truncate(k).compose(partial).coeffs[k]
-            inv[k] = -residue / self.coeffs[1]
+        quotient = 1 / self.shift_down(1)
+        power, inv = quotient, [Fraction(0)]
+        for k in range(1, self.order + 1):
+            inv.append(power[k - 1] / k)
+            if k < self.order:
+                power = power * quotient
         return TruncatedSeries(self.order, tuple(inv))
 
     def sqrt(self) -> "TruncatedSeries":
@@ -276,7 +280,7 @@ class TruncatedSeries:
         two_r = 2 * rn * d // rd
         w = [0]
         for k in range(1, self.order + 1):
-            w.append(cs[k] * d * two_r ** (2 * k - 2) - sum(w[i] * w[k - i] for i in range(1, k)))
+            w.append(cs[k] * d * two_r ** (2 * k - 2) - convolve(w, w, k))
         tail = (Fraction(x, d * two_r ** (2 * k - 1)) for k, x in enumerate(w[1:], start=1))
         return TruncatedSeries(self.order, (Fraction(rn, rd), *tail))
 
@@ -305,10 +309,10 @@ def _count_lists(n_max: int, t: int = 1) -> tuple[list[int], list[int]]:
     g, b2, h = [1], [0, 0], [1]
     for n in range(1, n_max + 1):
         if n > 1:
-            g.append(sum(beta[i] * g[n - 1 - i] for i in range(1, n)))
-        beta.append(sum(g[m] * alpha[n - 1 - m] for m in range(n)))
-        b2.append(sum(beta[i] * beta[n + 1 - i] for i in range(1, n + 1)))
-        even_only = sum(b2[u] * h[n - u] for u in range(2, n + 1))
+            g.append(convolve(beta, g, n - 1))
+        beta.append(convolve(g, alpha, n - 1))
+        b2.append(convolve(beta, beta, n + 1))
+        even_only = convolve(b2, h, n)
         alpha.append(t * even_only + b2[n + 1])
         h.append(even_only)
     return alpha, beta

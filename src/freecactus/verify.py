@@ -40,6 +40,7 @@ from freecactus.cumulants import (
 )
 from freecactus.dp import dp_cumulants
 from freecactus.partitions import (
+    Partition,
     catalan,
     classify,
     enumerate_connected,
@@ -48,7 +49,6 @@ from freecactus.partitions import (
     interval_pairing,
     join,
     kreweras,
-    x_membership,
 )
 from freecactus.series import (
     TruncatedSeries,
@@ -101,11 +101,17 @@ def parity_swap(rng: random.Random) -> str:
     return "even ground sets 2 and 4"
 
 
+def _connected_bipartite(p: Partition) -> bool:
+    g = cactus_mod.build_graph(p)
+    return cactus_mod.is_connected(g) and cactus_mod.bipartition(g) is not None
+
+
 def complement_of_family(rng: random.Random) -> str:
+    # X = K(Y): the complements of the odd-separating family are the
+    # partitions whose block graph is connected and bipartite.
     for n in range(1, 5):
-        from_y = {kreweras(q).to_text() for q in enumerate_y(2 * n)}
-        family = filter(x_membership, enumerate_nc(2 * n))
-        direct = {p.to_text() for p in family}
+        from_y = {kreweras(q) for q in enumerate_y(2 * n)}
+        direct = set(filter(_connected_bipartite, enumerate_nc(2 * n)))
         require(from_y == direct, f"2n = {2 * n}")
     return "complement image matches the graph test, n <= 4"
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
-from freecactus.partitions import Partition, YDecomposition, enumerate_y, restrict
+from freecactus.partitions import Partition, enumerate_y, restrict
 
 
 def set_partitions(m):
@@ -277,6 +278,15 @@ def interleave(odd_part: Partition, even_part: Partition) -> Partition:
     blocks = [tuple(2 * x - 1 for x in block) for block in odd_part.blocks]
     blocks += [tuple(2 * x for x in block) for block in even_part.blocks]
     return Partition(blocks)
+
+
+class YDecomposition(NamedTuple):
+    """Witness that a partition separates the odd elements: each odd
+    element keyed to its block, the odd-free blocks, and their count."""
+
+    odd_blocks: dict[int, tuple[int, ...]]
+    even_blocks: tuple[tuple[int, ...], ...]
+    level: int
 
 
 def y_membership(p: Partition):

@@ -163,6 +163,14 @@ def test_bipartition_examples():
         bipartition(build_graph(Partition.singletons(4)))
 
 
+def test_bipartition_of_small_graphs():
+    # An odd cycle with a pendant edge clashes; a 4-cycle splits in two.
+    triangle = BlockMultigraph(4, ((0, 1), (1, 2), (2, 0), (2, 3)), (2, 2, 3, 1))
+    assert bipartition(triangle) is None
+    square = BlockMultigraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)), (2, 2, 2, 2))
+    assert bipartition(square) == ((0, 2), (1, 3))
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_bipartite_iff_inverse_complement_is_odd_separating(n):
     for p in enumerate_nc(2 * n):
@@ -201,6 +209,29 @@ def test_validate_cactus_on_a_non_cactus_graph():
     assert not report.is_cactus
     assert report.edge_rigidity == (True, True, True)
     assert report.simple_cycle_count == 3
+
+
+# name -> (vertex count, edges, is_cactus, edge_rigidity, simple_cycle_count)
+GRAPHS = {
+    "K4": (4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), False, (True,) * 6, 7),
+    "bowtie": (5, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)), True, (True,) * 6, 2),
+    "triangle, pendant and loop": (
+        4,
+        ((0, 1), (1, 2), (2, 0), (2, 3), (3, 3)),
+        True,
+        (True, True, True, False, True),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_validate_cactus_on_a_table_of_graphs(name):
+    count, edges, is_cactus, rigidity, cycles = GRAPHS[name]
+    degrees = tuple(sum((u == v) + (v == w) for u, w in edges) for v in range(count))
+    report = validate_cactus(BlockMultigraph(count, edges, degrees))
+    assert report == (is_cactus, rigidity, cycles)
+    assert cycles == bruteforce.simple_cycle_count(count, edges)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -44,6 +44,7 @@ from freecactus.cactus import build_graph, canonical_outercycle, enumerate_orien
 from freecactus.cumulants import (
     _colored_sum,
     _moment_cumulant_walk,
+    convolve,
     integer_tables,
     lift,
     oracle_quadratic_moments,
@@ -289,6 +290,21 @@ def test_lift_is_the_one_scaling_rule():
     assert lift([]) == ([], 1)
     assert lift([Fraction(1, 2), Fraction(-2, 3), 0, 5]) == ([3, -4, 0, 30], 6)
     assert lift([1, 2]) == ([1, 2], 1)
+
+
+def test_convolve_is_the_literal_double_sum():
+    # Lists of unequal lengths read as zero beyond their ends, the empty
+    # list included; n runs past both lengths, where the coefficient is 0.
+    rng = random.Random(SEED)
+    lists = [[]] + [[rng.randint(-9, 9) for _ in range(rng.randint(1, 7))] for _ in range(12)]
+    for xs in lists:
+        for ys in lists:
+            for n in range(len(xs) + len(ys) + 2):
+                literal = sum(
+                    x * y for i, x in enumerate(xs) for j, y in enumerate(ys) if i + j == n
+                )
+                assert convolve(xs, ys, n) == literal
+    assert convolve([1, 2], [3], 5) == convolve([], [1, 2, 3], 0) == 0
 
 
 # --------------------------------------------------------------- products

@@ -234,7 +234,7 @@ def test_comp_inverse_preconditions():
 @given(
     st.lists(
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
-        min_size=4,
+        min_size=0,
         max_size=8,
     ),
     st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
@@ -243,6 +243,7 @@ def test_comp_inverse_preconditions():
 )
 @settings(max_examples=40, deadline=None)
 def test_comp_inverse_is_two_sided(tail, c1):
+    # Orders 1..9: Lagrange inversion has edge cases of its own at low order.
     f = TruncatedSeries.from_coefficients([0, c1] + tail)
     inv = f.comp_inverse()
     z = TruncatedSeries.identity(f.order)

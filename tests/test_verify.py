@@ -117,6 +117,15 @@ def test_a_wrong_cycle_count_fails_only_the_euler_relation(monkeypatch):
     assert summary["failures"] == ["cactus.euler_relation"]
 
 
+def test_complement_of_family_reads_the_bipartition(monkeypatch):
+    # X = K(Y) is held to the block-graph test, so a graph side that calls
+    # every graph odd fails that check and no other.
+    monkeypatch.setattr(cactus_mod, "bipartition", lambda g: None)
+    summary = run_suite("kreweras")
+    assert [c["name"] for c in summary["checks"]] == PINNED["kreweras"]
+    assert summary["failures"] == ["kreweras.complement_of_family"]
+
+
 def test_no_block_graph_table_outlives_a_run(monkeypatch):
     assert run_suite("cactus")["failed"] == 0
     connected = cactus_mod.is_connected
