@@ -163,11 +163,11 @@ def build_graph(p: Partition) -> BlockMultigraph:
     of 2k-1 to the block of 2k.  Vertex degrees equal block sizes."""
     if p.ground_size % 2:
         raise ValueError("block multigraphs need an even ground set")
-    n = p.ground_size // 2
-    edges = tuple(
-        (p.block_index_of(2 * k - 1), p.block_index_of(2 * k))
-        for k in range(1, n + 1)
-    )
+    where = [0] * (p.ground_size + 1)
+    for i, block in enumerate(p.blocks):
+        for x in block:
+            where[x] = i
+    edges = tuple(zip(where[1::2], where[2::2]))
     return BlockMultigraph(len(p), edges, p.block_sizes())
 
 

@@ -24,8 +24,12 @@ A brute-force oracle lives here too.  It knows nothing about those
 formulas: it expands powers of the expression into words, computes each
 mixed word moment as a sum over color-compatible non-crossing partitions
 (grouped by weight and block profile over the words of one order, which
-is the same sum), and inverts the moment-cumulant recursion.  The tests
-drive both sides against each other.
+is the same sum), and inverts the moment-cumulant recursion.  The
+partitions of a word depend only on which of its positions share a color,
+so the profile counts are computed once per color pattern and renamed to
+each word's colors.  It stays on ``Fraction`` and reads neither ``lift``
+nor ``integer_tables``, so it shares no scaling with the routes.  The
+tests drive both sides against each other.
 """
 
 from __future__ import annotations
@@ -503,8 +507,12 @@ def free_poisson_anticommutator_polynomial(n: int, cap: int | None = None) -> li
 
 
 @lru_cache(maxsize=4096)
-def _profiles(colors: tuple[int, ...]):
-    return _core_py.word_profile_counts(len(colors), colors)
+def _profiles(pattern: tuple[int, ...]):
+    """The (color, size) profile counts of a word's monochromatic
+    non-crossing partitions, for a color pattern: colors 0, 1, 2, .. by
+    first occurrence.  The counts depend only on which positions share a
+    color, so every word of one pattern reads one entry, its colors renamed."""
+    return _core_py.word_profile_counts(len(pattern), pattern)
 
 
 def oracle_anticommutator_moments(
@@ -534,9 +542,13 @@ def oracle_quadratic_moments(
     its pair weights; the j-th power is a sum over j letter pairs, so only
     pairs of nonzero weight are ever expanded.  A word's moment is the sum
     over color-kernel refining non-crossing partitions of block cumulant
-    products, grouped by (color, size) block profile.  The profile counts
-    of every word of one order add up as ints under (weight, profile), and
-    the cumulants are multiplied once per such key."""
+    products, grouped by (color, size) block profile.  The words of order j
+    extend those of order j - 1 by one pair, so each weight is one product.
+    Each word's colors are relabelled 0, 1, 2, .. by first occurrence, the
+    counts of that pattern read from ``_profiles``, and each profile
+    renamed back to the word's colors and re-sorted.  The counts of every
+    word of one order add up as ints under (weight id, profile), and the
+    cumulants are multiplied once per such key."""
     check_cap(n_max, cap, DEFAULT_QUADRATIC_ORACLE_CAP, f"oracle order {n_max}")
     weights.check_specs(specs)
     pairs = [
@@ -545,21 +557,24 @@ def oracle_quadratic_moments(
         for d, w in enumerate(row)
         if w
     ]
+    words = [((), Fraction(1))]
     out = []
     for j in range(1, n_max + 1):
+        words = [(word + pair, weight * w) for word, weight in words for pair, w in pairs]
+        weight_ids: dict[Fraction, int] = {}
         counts: dict[tuple, int] = {}
-        for chosen in itertools.product(pairs, repeat=j):
-            word = ()
-            weight = Fraction(1)
-            for pair, w in chosen:
-                word += pair
-                weight *= w
-            for profile, count in _profiles(word).items():
-                key = (weight, profile)
+        for word, weight in words:
+            wid = weight_ids.setdefault(weight, len(weight_ids))
+            label: dict[int, int] = {}
+            pattern = tuple(label.setdefault(c, len(label)) for c in word)
+            named = list(label)  # named[l] is the word's color labelled l
+            for profile, count in _profiles(pattern).items():
+                key = (wid, tuple(sorted((named[c], size) for c, size in profile)))
                 counts[key] = counts.get(key, 0) + count
+        weight_of = list(weight_ids)
         total = Fraction(0)
-        for (weight, profile), count in counts.items():
-            term = weight * count
+        for (wid, profile), count in counts.items():
+            term = weight_of[wid] * count
             for color, size in profile:
                 term *= specs[color].kappa(size)
                 if term == 0:

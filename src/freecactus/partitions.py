@@ -309,18 +309,26 @@ def kreweras(p: Partition, direction: str = "forward") -> Partition:
 
 
 def union_find_roots(size: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Union-find over 0..size-1: merge each pair, return every element's root."""
+    """Union-find over 0..size-1: merge each pair, return every element's root.
+
+    One loop: each end of a pair climbs to its root by path halving, and
+    the larger root is linked under the smaller, so every parent is at most
+    its child.  A final upward pass then reads each element's root off its
+    parent's, already written, and the root of a class is its least element.
+    """
     parent = list(range(size))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for a, b in pairs:
-        parent[find(a)] = find(b)
-    return [find(a) for a in range(size)]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for x in range(size):
+        parent[x] = parent[parent[x]]
+    return parent
 
 
 def join(p: Partition, q: Partition) -> Partition:
@@ -336,8 +344,8 @@ def join(p: Partition, q: Partition) -> Partition:
             f"join needs equal ground sets, got {p.ground_size} and {q.ground_size}"
         )
     m = p.ground_size
-    chains = (pair for block in p.blocks + q.blocks for pair in zip(block, block[1:]))
-    roots = union_find_roots(m + 1, chains)
+    links = [(block[0], x) for block in p.blocks + q.blocks for x in block[1:]]
+    roots = union_find_roots(m + 1, links)
     groups: dict[int, list[int]] = {}
     for x in range(1, m + 1):
         groups.setdefault(roots[x], []).append(x)

@@ -118,9 +118,9 @@ def complement_of_family(rng: random.Random) -> str:
 
 def connectivity_is_join(run: _Run) -> str:
     for n, rows in run.block_graphs.items():
+        pairing = interval_pairing(n)
         for p, connected, _ in rows:
-            joined = join(p, interval_pairing(n))
-            require(connected == (len(joined) == 1), p)
+            require(connected == (len(join(p, pairing)) == 1), p)
     return "n <= 4"
 
 

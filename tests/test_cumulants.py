@@ -39,7 +39,7 @@ from freecactus import (
     quadratic_form_cumulant,
     semicircular_anticommutator,
 )
-from freecactus import cumulants
+from freecactus import _core_py, cumulants
 from freecactus.cactus import build_graph, canonical_outercycle, enumerate_oriented_cacti
 from freecactus.cumulants import (
     _colored_sum,
@@ -657,20 +657,49 @@ def test_quadratic_oracle_matches_doubly_literal_expansion():
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_oracle_matches_the_per_word_sum(k, symmetric):
+@pytest.mark.parametrize(
+    "k, n_max", [(1, 3), (2, 3), (3, 3), (2, 4)], ids=["1", "2", "3", "2-order4"]
+)
+def test_oracle_matches_the_per_word_sum(k, n_max, symmetric):
     """The oracle's table over (weight, profile) adds up to the literal
     per-word sum, for symmetric and asymmetric weights."""
     rng = random.Random(SEED + 16 + 2 * k + symmetric)
-    specs = tuple(random_explicit_spec(rng, 6) for _ in range(k))
+    specs = tuple(random_explicit_spec(rng, 2 * n_max) for _ in range(k))
     if symmetric:
         weights = random_weight_matrix(rng, k)
     else:
         rows = [[Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(k)]
                 for _ in range(k)]
         weights = WeightMatrix(tuple(map(tuple, rows)))
-    want = bruteforce.quadratic_moments_per_word(specs, weights, 3)
-    assert oracle_quadratic_moments(specs, weights, 3) == want
+    want = bruteforce.quadratic_moments_per_word(specs, weights, n_max)
+    assert oracle_quadratic_moments(specs, weights, n_max) == want
+
+
+def test_profiles_are_cached_by_color_pattern(monkeypatch):
+    """Words that share a color pattern share one profile table: the
+    all-ones 3x3 form to order 3 expands 9 + 81 + 729 = 819 words, but they
+    fall into 2 + 14 + 122 = 138 patterns (set partitions of 2, 4, 6
+    positions into at most 3 colors).  Each miss computes the table of its
+    key, and every key is a pattern labelled by first occurrence."""
+    computed = []
+    word_profile_counts = _core_py.word_profile_counts
+
+    def recording(m, colors):
+        computed.append(colors)
+        return word_profile_counts(m, colors)
+
+    monkeypatch.setattr(_core_py, "word_profile_counts", recording)
+    specs = tuple(CumulantSpec.explicit([1, -2, Fraction(1, 3), 2, 1, -1]) for _ in range(3))
+    ones = WeightMatrix(((1, 1, 1),) * 3)
+    cumulants._profiles.cache_clear()
+    got = oracle_quadratic_moments(specs, ones, 3)
+    info = cumulants._profiles.cache_info()
+    assert (info.misses, info.hits) == (138, 819 - 138)
+    assert len(computed) == len(set(computed)) == 138
+    for pattern in computed:
+        labels = list(dict.fromkeys(pattern))
+        assert labels == list(range(len(labels))), pattern
+    assert got == bruteforce.quadratic_moments_per_word(specs, ones, 3)
 
 
 def test_a_wrong_profile_count_fails_the_quadratic_check(monkeypatch):

@@ -3,6 +3,8 @@ family and its level statistics.  Golden values are frozen; the oracles in
 bruteforce.py recompute the structural claims from definitions."""
 
 import itertools
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from freecactus import (
     y_level_counts,
 )
 from freecactus import _core_py
+from freecactus.partitions import union_find_roots
 
 # Frozen golden tables: total size of the odd-separating family by ground
 # set size, and its histogram by number of even-only blocks.
@@ -293,6 +296,44 @@ def test_join_is_the_finest_common_coarsening(m):
                     q.blocks, c.blocks
                 ):
                     assert bruteforce.refines(j.blocks, c.blocks)
+
+
+def _bfs_components(size, pairs):
+    """Component id of each element, by breadth-first search."""
+    adjacent = [[] for _ in range(size)]
+    for a, b in pairs:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    component = [None] * size
+    for start in range(size):
+        if component[start] is None:
+            component[start] = start
+            queue = deque([start])
+            while queue:
+                for y in adjacent[queue.popleft()]:
+                    if component[y] is None:
+                        component[y] = start
+                        queue.append(y)
+    return component
+
+
+def test_union_find_roots_names_the_components():
+    """Every root is a fixed point, and two elements share a root exactly
+    when a BFS puts them in one component; pair lists hold self-pairs and
+    repeats, and sizes include 0 and 1."""
+    rng = random.Random(1729)
+    cases = [(0, []), (1, []), (1, [(0, 0)]), (2, [(1, 0), (0, 1), (1, 0)])]
+    for size in [2, 3, 5, 8, 13, 21] * 8:
+        pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(rng.randrange(2 * size))]
+        pairs += [(a, a) for a, _ in pairs[:2]] + pairs[-2:]
+        cases.append((size, pairs))
+    for size, pairs in cases:
+        roots = union_find_roots(size, pairs)
+        assert len(roots) == size
+        assert all(roots[r] == r for r in roots)
+        component = _bfs_components(size, pairs)
+        for x, y in itertools.combinations(range(size), 2):
+            assert (roots[x] == roots[y]) == (component[x] == component[y]), (size, pairs)
 
 
 def test_classify_examples():
