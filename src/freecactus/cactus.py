@@ -75,7 +75,8 @@ class OrientedCactus:
     each access, with no cache.  ``edge_rigidity`` is indexed by
     renumbered edge id; rigid edges (those on a simple cycle) appear once
     in the walk, flexible ones twice.  ``f_c`` counts the flexible edges,
-    leaving out the first edge of the walk when that edge is flexible.
+    leaving out the first edge of the walk when that edge is flexible; it
+    reads the count off the walk length, with no ``edge_rigidity``.
     ``bipartition`` is present iff the graph is bipartite; its first part
     contains vertex 0, the start of the walk.
     """
@@ -90,12 +91,15 @@ class OrientedCactus:
 
     @property
     def first_edge_rigid(self) -> bool:
-        return self.edge_rigidity[0]
+        """Edge 0 is rigid when the walk crosses it only at its start."""
+        return all(e for _, e in self.signature[1:])
 
     @property
     def f_c(self) -> int:
-        rigidity = self.edge_rigidity
-        return rigidity.count(False) - (not rigidity[0])
+        """The walk crosses each flexible edge twice and each rigid one once,
+        so the flexible edges number the walk length less the edge count."""
+        flexible = len(self.signature) - 1 - max(e for _, e in self.signature)
+        return flexible - (not self.first_edge_rigid)
 
     @property
     def vertex_count(self) -> int:
@@ -330,11 +334,8 @@ def canonical_outercycle(p: Partition) -> OrientedCactus:
 
 def g_exponent(c: OrientedCactus) -> int:
     """The power-of-two exponent attached to an oriented cactus: 2 f_C + 1
-    when the first edge of the walk is flexible, else 2 f_C.  f_C leaves
-    out a flexible first edge, so this is twice the flexible edges less
-    one for a flexible first edge, read off one ``edge_rigidity``."""
-    rigidity = c.edge_rigidity
-    return 2 * rigidity.count(False) - (not rigidity[0])
+    when the first edge of the walk is flexible, else 2 f_C."""
+    return 2 * c.f_c + (not c.first_edge_rigid)
 
 
 def enumerate_oriented_cacti(

@@ -13,7 +13,10 @@ edges.  The partition routes walk each partition with
 ``cactus.canonical_outercycle``; the class routes stream one generated
 cactus per class from ``enumerate_oriented_cacti`` and weight it by its
 class size (2^f_C, or 2^(g_C + 1) for as + sa), so no route keeps a class
-table or a class's member partitions.
+table or a class's member partitions.  The colored sum eliminates the
+cactus's vertices, highest first-visit id first, through k x k link
+matrices: O(V k^3) int products for V vertices and k variables, where a
+search over colorings would take k^V.
 ``integer_tables`` alone scales, and every paper route reads its block
 cumulant products from it: the cactus routes, the NC(n) sums of ab and of
 the even pair, and ``dp`` all sum ints and divide once per order.
@@ -414,41 +417,52 @@ def _colored_sum(cactus: OrientedCactus, kappa: list[list[int]], weights: list[l
     edges.  The weights must be symmetric, as they are at every caller,
     since ``renumbered_edges`` reports an edge in either direction.
 
-    Colors are chosen depth first, vertex by vertex, and the partial
-    product is carried down: vertex t brings its cumulant and the weight of
-    each edge whose later endpoint is t.  A zero factor prunes every
-    coloring below it.
+    The vertices are eliminated, highest first-visit id first.  Vertex u
+    starts as f_u, the vector of its degree's cumulants over the colors
+    (a zero vector zeroes every coloring, so the sum is 0 at once), and a
+    loop multiplies that by w_cc.  A link from u down to x is a
+    k x k matrix, rows by x's color; an edge is the weights, and parallel
+    links merge by entrywise product.  In the numbering of the walk a
+    vertex's descendants, and the later vertices of its cycle, have larger
+    ids, so at its turn u has one lower neighbour x, into which it folds
+    as M f_u, or two: the previous vertex x of its cycle and the cycle's
+    root y, which it joins by the link M_y D_u M_x^T from x down to y, D_u
+    the diagonal of f_u.  A third cannot occur and would fail to unpack.
+    The root's vector then sums to the colored sum, in O(V k^3) int
+    products for V vertices.
     """
     edges = cactus.renumbered_edges()
     vertex_count = 1 + max(map(max, edges))
     degrees = [0] * vertex_count
-    closing: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count)]
     for u, v in edges:
         degrees[u] += 1
         degrees[v] += 1
-        closing[max(u, v)].append((u, v))
-    kappas = [[(c, row[s]) for c, row in enumerate(kappa) if row[s]] for s in degrees]
-    coloring = [0] * vertex_count
-    total = 0
+    f = [[row[s] for row in kappa] for s in degrees]
+    if not all(map(any, f)):
+        return 0
+    down: list[dict[int, list[list[int]]]] = [{} for _ in range(vertex_count)]
+    for u, v in edges:
+        if u == v:
+            f[u] = [x * weights[c][c] for c, x in enumerate(f[u])]
+        else:
+            _link(down[max(u, v)], min(u, v), weights)
+    for u in range(vertex_count - 1, 0, -1):
+        fu = f[u]
+        if len(down[u]) == 1:
+            ((x, m),) = down[u].items()
+            f[x] = [a * sum(map(mul, row, fu)) for a, row in zip(f[x], m)]
+        else:
+            (x, mx), (y, my) = sorted(down[u].items(), reverse=True)
+            scaled = [list(map(mul, row, fu)) for row in mx]
+            _link(down[x], y, [[sum(map(mul, row, col)) for col in scaled] for row in my])
+    return sum(f[0])
 
-    def extend(t: int, partial: int) -> None:
-        nonlocal total
-        if t == vertex_count:
-            total += partial
-            return
-        for c, f in kappas[t]:
-            coloring[t] = c
-            term = partial * f
-            for u, v in closing[t]:
-                w = weights[coloring[u]][coloring[v]]
-                if w == 0:
-                    break
-                term *= w
-            else:
-                extend(t + 1, term)
 
-    extend(0, 1)
-    return total
+def _link(links: dict[int, list[list[int]]], x: int, m: list[list[int]]) -> None:
+    """Add the link m down to x, merging it with a parallel one entrywise."""
+    if x in links:
+        m = [list(map(mul, a, b)) for a, b in zip(links[x], m)]
+    links[x] = m
 
 
 def _cactus_sum(sized, specs: Sequence[CumulantSpec], weights: WeightMatrix, n: int) -> Fraction:

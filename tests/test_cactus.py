@@ -518,6 +518,19 @@ def test_class_sizes_are_powers_of_two_from_f(n):
 
 
 @pytest.mark.parametrize("bipartite_only", [False, True])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_class_exponents_read_off_the_walk_match_the_rigidity(n, bipartite_only):
+    """f_c and g_exponent come from the walk length; both must equal their
+    definitions on ``edge_rigidity``, flexible edges less a flexible first edge."""
+    for rep in enumerate_oriented_cacti(n, bipartite_only=bipartite_only):
+        rigidity = rep.edge_rigidity
+        flexible = rigidity.count(False)
+        assert rep.first_edge_rigid == rigidity[0]
+        assert rep.f_c == flexible - (not rigidity[0])
+        assert g_exponent(rep) == 2 * flexible - (not rigidity[0])
+
+
+@pytest.mark.parametrize("bipartite_only", [False, True])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_class_table_holds_the_cactus_of_each_first_member(n, bipartite_only):
     # The generated table has the walked classes' keys and cacti; its order

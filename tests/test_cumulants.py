@@ -42,6 +42,7 @@ from freecactus import (
 from freecactus import _core_py, cumulants
 from freecactus.cactus import build_graph, canonical_outercycle, enumerate_oriented_cacti
 from freecactus.cumulants import (
+    ANTICOMMUTATOR_WEIGHTS,
     _colored_sum,
     _moment_cumulant_walk,
     convolve,
@@ -536,9 +537,13 @@ def test_quadratic_weight_scaling_is_degree_n():
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_colored_sum_matches_the_brute_force_sum(k):
-    """The depth-first colored sum against one product per coloring, on
-    every class representative with n <= 4.  Weights include zeros, and
-    the specs have zero cumulants at some orders, so both prunings run."""
+    """The vertex elimination against one product per coloring, on every
+    class representative with n <= 5 edges for k <= 2 and n <= 4 for k = 3.
+    Weights include zeros and the specs have zero cumulants at some orders.
+    For k = 2 the weights of ab + ba also run, on the bipartite classes to
+    n = 6: the first cycle link that is not symmetric is W D W D W along a
+    4-cycle, and only at six edges can the two far vertices of a 4-cycle
+    differ in degree, so that the link taken in the wrong direction shows."""
     rng = random.Random(SEED + 14 + k)
     zero_spec = CumulantSpec.explicit([1, 0, Fraction(-2, 3), 0, 3])
     specs = (zero_spec,) + tuple(random_explicit_spec(rng, 5) for _ in range(k - 1))
@@ -547,20 +552,23 @@ def test_colored_sum_matches_the_brute_force_sum(k):
         for j in range(i, k):
             if (i + j) % 2:
                 with_zeros[i][j] = with_zeros[j][i] = Fraction(i + j + 1, 2)
-    weight_sets = [
-        random_weight_matrix(rng, k),
-        WeightMatrix(tuple(tuple(r) for r in with_zeros)),
-        WeightMatrix(tuple((Fraction(1),) * k for _ in range(k))),
+    n_max = 5 if k <= 2 else 4
+    runs = [
+        (random_weight_matrix(rng, k), False, n_max),
+        (WeightMatrix(tuple(tuple(r) for r in with_zeros)), False, n_max),
+        (WeightMatrix(tuple((Fraction(1),) * k for _ in range(k))), False, n_max),
     ]
+    if k == 2:
+        runs.append((ANTICOMMUTATOR_WEIGHTS, True, 6))
     # Each class's first connected partition; a signature fixes n.
     first_members = {}
-    for n in range(1, 5):
+    for n in range(1, max(top for _, _, top in runs) + 1):
         for p in enumerate_connected(n):
             first_members.setdefault(canonical_outercycle(p).signature, p)
-    for weights in weight_sets:
-        for n in range(1, 5):
+    for weights, bipartite_only, top in runs:
+        for n in range(1, top + 1):
             kappa, w, scale = integer_tables(specs, weights, 2 * n)
-            for rep in enumerate_oriented_cacti(n):
+            for rep in enumerate_oriented_cacti(n, bipartite_only=bipartite_only):
                 g = build_graph(first_members[rep.signature])
                 want = bruteforce.colored_sum(
                     g.vertex_count, g.edges, g.vertex_degrees, specs, weights.entries

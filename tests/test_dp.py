@@ -107,6 +107,21 @@ def test_quadratic_matches_oracle_and_graph_route(k, with_zeros):
     ]
 
 
+def test_graph_route_reaches_six_edges_on_a_full_k3_form():
+    """Past the oracle: every class with six edges, three colors and no zero
+    weight, where a search over colorings would take 3^7 per class."""
+    rng = random.Random(SEED + 6)
+    specs = tuple(random_explicit_spec(rng, 12) for _ in range(3))
+    rows = [[Fraction(0)] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            w = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+            rows[i][j] = rows[j][i] = w
+    weights = WeightMatrix(tuple(tuple(r) for r in rows))
+    got = quadratic_form_cumulant(specs, weights, 6, route="graph")
+    assert got == dp_cumulants(specs, weights, 6)[5]
+
+
 # Explicit spec entries p/q with p in [-3, 3] and q in {1, 2, 3}, zeros
 # included: the family of ``random_explicit_spec``, drawn by hypothesis.
 ENTRIES = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
