@@ -186,13 +186,14 @@ def bipartition(g: BlockMultigraph) -> tuple[tuple[int, ...], tuple[int, ...]] |
     joins opposite sides, so v meets v + N exactly along an odd closed
     walk.  Returns (V', V'') with vertex 0 in V', the vertices the cover
     joins to 0, or None when some cycle is odd (a loop counts as an odd
-    cycle).  The graph must be connected.
+    cycle).  The graph must be connected: v is reached from 0 exactly
+    when the cover joins it to 0 or to 0 + N.
     """
-    if not is_connected(g):
-        raise ValueError("bipartition needs a connected graph")
     n = g.vertex_count
     cover = [(u, v + n) for u, v in g.edges] + [(u + n, v) for u, v in g.edges]
     roots = union_find_roots(2 * n, cover)
+    if any(roots[v] not in (roots[0], roots[n]) for v in range(n)):
+        raise ValueError("bipartition needs a connected graph")
     if any(roots[v] == roots[v + n] for v in range(n)):
         return None
     side0 = tuple(v for v in range(n) if roots[v] == roots[0])

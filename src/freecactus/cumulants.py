@@ -9,14 +9,14 @@ quadratic form sum w_ij a_i a_j, as sums over the partition and cactus
 structures of the companion modules.  Every cactus route, whether it sums
 over partitions or over oriented cactus classes, evaluates one colored sum
 on an ``OrientedCactus``, an outercycle signature: its degrees and its
-edges.  The partition routes walk each partition with
+walk.  The partition routes walk each partition with
 ``cactus.canonical_outercycle``; the class routes stream one generated
 cactus per class from ``enumerate_oriented_cacti`` and weight it by its
 class size (2^f_C, or 2^(g_C + 1) for as + sa), so no route keeps a class
-table or a class's member partitions.  The colored sum eliminates the
-cactus's vertices, highest first-visit id first, through k x k link
-matrices: O(V k^3) int products for V vertices and k variables, where a
-search over colorings would take k^V.
+table or a class's member partitions.  The colored sum takes one pass of
+the signature's walk, folding each bridge and each cycle into the vertex
+it hangs from as the walk returns there: O(V k^3) int products for V
+vertices and k variables, where a search over colorings would take k^V.
 ``integer_tables`` alone scales, and every paper route reads its block
 cumulant products from it: the cactus routes, the NC(n) sums of ab and of
 the even pair, and ``dp`` all sum ints and divide once per order.
@@ -415,54 +415,45 @@ def _colored_sum(cactus: OrientedCactus, kappa: list[list[int]], weights: list[l
     times the per-vertex cumulants of the colored variables at the vertex
     degrees, on ``integer_tables``: an int, scale^n times the sum for n
     edges.  The weights must be symmetric, as they are at every caller,
-    since ``renumbered_edges`` reports an edge in either direction.
+    since the walk may cross an edge in either direction.
 
-    The vertices are eliminated, highest first-visit id first.  Vertex u
-    starts as f_u, the vector of its degree's cumulants over the colors
-    (a zero vector zeroes every coloring, so the sum is 0 at once), and a
-    loop multiplies that by w_cc.  A link from u down to x is a
-    k x k matrix, rows by x's color; an edge is the weights, and parallel
-    links merge by entrywise product.  In the numbering of the walk a
-    vertex's descendants, and the later vertices of its cycle, have larger
-    ids, so at its turn u has one lower neighbour x, into which it folds
-    as M f_u, or two: the previous vertex x of its cycle and the cycle's
-    root y, which it joins by the link M_y D_u M_x^T from x down to y, D_u
-    the diagonal of f_u.  A third cannot occur and would fail to unpack.
-    The root's vector then sums to the colored sum, in O(V k^3) int
-    products for V vertices.
+    One pass of the walk, with a stack of its open vertices, root first.
+    Vertex v starts as f_v, the vector of its degree's cumulants over the
+    colors (a zero vector zeroes every coloring, so the sum is 0 at once).
+    A second crossing of an edge goes back along a bridge: the parent's
+    vector takes the child u in as an entrywise factor W f_u.  A first
+    crossing either opens the next new vertex or closes a cycle at an open
+    vertex w: the open vertices above w are the cycle's others, w_1 .. w_m
+    in walk order, and f_w takes the diagonal of W D_1 W ... D_m W as an
+    entrywise factor, D_i the diagonal of f_{w_i}.  A loop is the cycle
+    with m = 0 and a parallel pair the one with m = 1.  The root's vector
+    then sums to the colored sum, in O(V k^3) int products for V vertices
+    and k colors.
     """
-    edges = cactus.renumbered_edges()
-    vertex_count = 1 + max(map(max, edges))
-    degrees = [0] * vertex_count
-    for u, v in edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    f = [[row[s] for row in kappa] for s in degrees]
+    f = [[row[s] for row in kappa] for s in cactus.degrees]
     if not all(map(any, f)):
         return 0
-    down: list[dict[int, list[list[int]]]] = [{} for _ in range(vertex_count)]
-    for u, v in edges:
-        if u == v:
-            f[u] = [x * weights[c][c] for c, x in enumerate(f[u])]
-        else:
-            _link(down[max(u, v)], min(u, v), weights)
-    for u in range(vertex_count - 1, 0, -1):
-        fu = f[u]
-        if len(down[u]) == 1:
-            ((x, m),) = down[u].items()
-            f[x] = [a * sum(map(mul, row, fu)) for a, row in zip(f[x], m)]
-        else:
-            (x, mx), (y, my) = sorted(down[u].items(), reverse=True)
-            scaled = [list(map(mul, row, fu)) for row in mx]
-            _link(down[x], y, [[sum(map(mul, row, col)) for col in scaled] for row in my])
+    sig = cactus.signature
+    stack = [0]
+    crossed = 0
+    for (_, e), (w, _) in zip(sig, sig[1:] + sig[:1]):
+        if e < crossed:  # back along a bridge
+            u = stack.pop()
+            v = stack[-1]
+            f[v] = [x * sum(map(mul, row, f[u])) for x, row in zip(f[v], weights)]
+        elif w > stack[-1]:  # out to the next new vertex
+            crossed += 1
+            stack.append(w)
+        else:  # round a cycle, back to the open vertex w
+            crossed += 1
+            at = stack.index(w)
+            path = weights
+            for u in stack[at + 1 :]:
+                scaled = [list(map(mul, row, f[u])) for row in path]
+                path = [[sum(map(mul, row, col)) for col in weights] for row in scaled]
+            del stack[at + 1 :]
+            f[w] = [x * path[c][c] for c, x in enumerate(f[w])]
     return sum(f[0])
-
-
-def _link(links: dict[int, list[list[int]]], x: int, m: list[list[int]]) -> None:
-    """Add the link m down to x, merging it with a parallel one entrywise."""
-    if x in links:
-        m = [list(map(mul, a, b)) for a, b in zip(links[x], m)]
-    links[x] = m
 
 
 def _cactus_sum(sized, specs: Sequence[CumulantSpec], weights: WeightMatrix, n: int) -> Fraction:

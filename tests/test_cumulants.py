@@ -40,7 +40,13 @@ from freecactus import (
     semicircular_anticommutator,
 )
 from freecactus import _core_py, cumulants
-from freecactus.cactus import build_graph, canonical_outercycle, enumerate_oriented_cacti
+from freecactus.cactus import (
+    BlockMultigraph,
+    _biconnected_edge_components,
+    build_graph,
+    canonical_outercycle,
+    enumerate_oriented_cacti,
+)
 from freecactus.cumulants import (
     ANTICOMMUTATOR_WEIGHTS,
     _colored_sum,
@@ -537,13 +543,14 @@ def test_quadratic_weight_scaling_is_degree_n():
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_colored_sum_matches_the_brute_force_sum(k):
-    """The vertex elimination against one product per coloring, on every
+    """The walk's colored sum against one product per coloring, on every
     class representative with n <= 5 edges for k <= 2 and n <= 4 for k = 3.
     Weights include zeros and the specs have zero cumulants at some orders.
     For k = 2 the weights of ab + ba also run, on the bipartite classes to
-    n = 6: the first cycle link that is not symmetric is W D W D W along a
-    4-cycle, and only at six edges can the two far vertices of a 4-cycle
-    differ in degree, so that the link taken in the wrong direction shows."""
+    n = 6.  A cycle product taken in a wrong order sums the same vertices
+    around the cycle in another order, and up to five edges the order it
+    gives has the same value as the right one on every class, so only that
+    run at six edges, and the next test past six edges, tells them apart."""
     rng = random.Random(SEED + 14 + k)
     zero_spec = CumulantSpec.explicit([1, 0, Fraction(-2, 3), 0, 3])
     specs = (zero_spec,) + tuple(random_explicit_spec(rng, 5) for _ in range(k - 1))
@@ -574,6 +581,56 @@ def test_colored_sum_matches_the_brute_force_sum(k):
                     g.vertex_count, g.edges, g.vertex_degrees, specs, weights.entries
                 )
                 assert Fraction(_colored_sum(rep, kappa, w), scale**n) == want
+
+
+def _has_long_unmirrored_cycle(g):
+    """Whether some cycle of four or more edges has non-root vertices whose
+    degrees do not read the same both ways along the walk.  The root is the
+    cycle's lowest id, and the walk reaches the others in turn, so their
+    walk order is their id order."""
+    for comp in _biconnected_edge_components(g):
+        others = sorted({v for eid in comp for v in g.edges[eid]})[1:]
+        degrees = [g.vertex_degrees[v] for v in others]
+        if len(comp) >= 4 and degrees != degrees[::-1]:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", (7, 8))
+def test_colored_sum_matches_the_brute_force_sum_past_six_edges(n):
+    """The colored sum against one product per coloring at k = 3, with no
+    zero weight or cumulant, on the first twelve classes with n edges, at
+    most seven vertices (3^7 colorings) and a cycle of four or more edges
+    whose other vertices' degrees do not read the same both ways along the
+    walk.  A cycle product taken in a wrong order sums the cycle's vertices
+    in another order; on a cycle of three or fewer edges any order is a
+    rotation or reflection of the right one, and the route totals, summed
+    over all classes, can stay the same, so only a per-class check sees it."""
+    rng = random.Random(SEED + n)
+    nonzero = [-3, -2, -1, 1, 2, 3]
+    specs = tuple(
+        CumulantSpec.explicit(
+            [Fraction(rng.choice(nonzero), rng.choice((1, 2, 3))) for _ in range(2 * n)]
+        )
+        for _ in range(3)
+    )
+    rows = [[Fraction(0)] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            rows[i][j] = rows[j][i] = Fraction(rng.choice(nonzero), rng.choice((1, 2)))
+    weights = WeightMatrix(tuple(tuple(r) for r in rows))
+    kappa, w, scale = integer_tables(specs, weights, 2 * n)
+    checked = 0
+    for rep in enumerate_oriented_cacti(n):
+        g = BlockMultigraph(rep.vertex_count, rep.renumbered_edges(), rep.degrees)
+        if g.vertex_count > 7 or not _has_long_unmirrored_cycle(g):
+            continue
+        want = bruteforce.colored_sum(g.vertex_count, g.edges, g.vertex_degrees, specs, rows)
+        assert Fraction(_colored_sum(rep, kappa, w), scale**n) == want, rep.signature
+        checked += 1
+        if checked == 12:
+            break
+    assert checked == 12
 
 
 def test_quadratic_argument_validation():
