@@ -10,12 +10,12 @@ Products, quotients and square roots lift each operand once, by
 ``cumulants.lift``, to integer numerators over one denominator, take each
 coefficient from the one truncated convolution ``cumulants.convolve`` on
 ints and divide it once; composition and inversion inherit that through
-the product and the quotient, and the counting recursion runs on the same
-convolution.  On top of that sit the series
-pair (A, B) counting the odd-separating partitions by parity, residual
-checks for the four functional equations tying them together, the closed
-form of the inverted moment series, and the degree-six polynomial
-satisfied by the Cauchy transform."""
+the product and the quotient, and the counting recursion, two of the
+functional equations read one coefficient at a time, runs on the same
+convolution.  On top of that sit the series pair (A, B) counting the
+odd-separating partitions by parity, residual checks for the four
+functional equations tying them together, the closed form of the inverted
+moment series, and the degree-six polynomial of the Cauchy transform."""
 
 from __future__ import annotations
 
@@ -293,12 +293,13 @@ def _count_lists(n_max: int, t: int = 1) -> tuple[list[int], list[int]]:
     (alpha[0] = 1 for the empty partition), beta[i] the odd ground set
     2i - 1.
 
-    The recursion mirrors the removal of the block containing the last
-    element: beta picks up g = 1/(1 - B) against the shifted alpha
-    sequence, alpha picks up h = 1/(1 - B^2) plus the boundary convolution
-    b2 = B^2 one order up.  None of g, b2 and h changes below its top
-    entry as n grows, so each order appends g[n - 1], b2[n + 1] and h[n]
-    and the whole run costs O(n_max^2) multiplications.
+    The lists are read one order at a time off the pair's two functional
+    equations, B(1 - B) = x(A + 1) and A = t B^2/(1 - B^2) + B^2/x.  With
+    alpha[0] = 1 as the "+1", the first gives beta[n] = alpha[n - 1] +
+    [x^n] B^2.  The second takes b2 = B^2 one order up and h = 1/(1 - B^2)
+    = 1 + B^2 h, so h[n] = [x^n] B^2 h and alpha[n] = t h[n] + b2[n + 1].
+    Neither b2 nor h changes below its top entry as n grows, so each order
+    takes two convolutions and the run O(n_max^2) multiplications.
 
     In B^2 h, the sum of (B^2)^s over s >= 1, the term (B^2)^s is the case
     where the last element's block is even-only with 2s elements.  That
@@ -306,15 +307,12 @@ def _count_lists(n_max: int, t: int = 1) -> tuple[list[int], list[int]]:
     t^level; t = 1 gives the plain sizes.
     """
     alpha, beta = [1], [0]
-    g, b2, h = [1], [0, 0], [1]
+    b2, h = [0, 0], [1]
     for n in range(1, n_max + 1):
-        if n > 1:
-            g.append(convolve(beta, g, n - 1))
-        beta.append(convolve(g, alpha, n - 1))
+        beta.append(alpha[n - 1] + b2[n])
         b2.append(convolve(beta, beta, n + 1))
-        even_only = convolve(b2, h, n)
-        alpha.append(t * even_only + b2[n + 1])
-        h.append(even_only)
+        h.append(convolve(b2, h, n))
+        alpha.append(t * h[n] + b2[n + 1])
     return alpha, beta
 
 
@@ -399,9 +397,10 @@ def check_functional_equations(
     """Evaluate the four functional equations on a candidate pair.
 
     even_from_odd expresses A through B (the B^2/x term costs one order
-    of precision), odd_from_even goes the other way, and the two quartics
-    eliminate one series entirely: a degree-four polynomial relation for
-    A + 1, and B(1 - 2B)(1 - B)(1 + B) = x for B."""
+    of precision) and odd_from_even goes the other way; on the counting
+    pair these two restate ``_count_lists`` in series arithmetic.  The two
+    quartics, which the recursion never uses, eliminate one series each:
+    a degree-four relation for A + 1, and B(1 - 2B)(1 - B)(1 + B) = x."""
     if a.order != b.order:
         raise ValueError(
             f"series orders must match, got {a.order} and {b.order}"

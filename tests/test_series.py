@@ -4,9 +4,11 @@ series.
 
 The recursion values are frozen against the enumeration for every ground
 set the enumerator can reach, and beyond that against the independently
-coded level histogram; the closed forms are checked coefficientwise
+coded level histogram and, for the odd sizes, the Lagrange closed form of
+the odd quartic; the closed forms are checked coefficientwise
 against triangular inversion, which shares no code with them."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -19,6 +21,7 @@ from freecactus import enumerate_y
 from freecactus.cumulants import (
     ANTICOMMUTATOR_WEIGHTS,
     CumulantSpec,
+    convolve,
     moments_from_cumulants,
 )
 from freecactus.dp import dp_cumulants
@@ -414,6 +417,38 @@ def test_recursion_frozen_tables():
 def test_recursion_matches_enumeration_to_twelve():
     for m in range(1, 13):
         assert y_count_recursive(m) == sum(1 for _ in enumerate_y(m))
+
+
+def test_counting_recursion_takes_two_convolutions_per_order(monkeypatch):
+    import freecactus.series as series_module
+
+    calls = []
+
+    def counting(xs, ys, n):
+        calls.append(n)
+        return convolve(xs, ys, n)
+
+    monkeypatch.setattr(series_module, "convolve", counting)
+    for t in (1, 7):
+        calls.clear()
+        _count_lists(40, t)
+        assert len(calls) == 2 * 40, t
+
+
+def test_odd_counts_match_the_lagrange_closed_form():
+    """B = x phi(B) with phi(u) = 1/((1 - 2u)(1 - u^2)) is the odd quartic,
+    so Lagrange inversion gives [x^n] B = [u^(n-1)] phi(u)^n / n, a double
+    binomial sum that shares no code with the recursion (Flajolet and
+    Sedgewick, Analytic Combinatorics, 2009, A.6)."""
+    _alpha, beta = _count_lists(300)
+    for n in range(1, 301):
+        total = sum(
+            2 ** (n - 1 - 2 * j)
+            * math.comb(2 * n - 2 - 2 * j, n - 1 - 2 * j)
+            * math.comb(n + j - 1, j)
+            for j in range((n - 1) // 2 + 1)
+        )
+        assert total % n == 0 and beta[n] == total // n, n
 
 
 def test_graded_recursion_sums_to_the_family_size():
