@@ -55,6 +55,7 @@ from freecactus.series import (
     free_poisson_pair_cumulants,
     minverse_closed_form,
     r_m_transfer,
+    y_count,
     y_count_recursive,
     y_level_counts,
     y_series,

@@ -107,11 +107,17 @@ class OrientedCactus:
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        """Loops count twice, so these are the block sizes of a member."""
+        """Loops count twice, so these are the block sizes of a member.
+        Each edge adds its endpoints at its first crossing, found as in
+        ``renumbered_edges`` but without building the edge tuple."""
+        sig = self.signature
         degrees = [0] * self.vertex_count
-        for u, v in self.renumbered_edges():
-            degrees[u] += 1
-            degrees[v] += 1
+        edges = 0
+        for (v, e), (w, _) in zip(sig, sig[1:] + sig[:1]):
+            if e == edges:
+                edges += 1
+                degrees[v] += 1
+                degrees[w] += 1
         return tuple(degrees)
 
     @property

@@ -46,7 +46,7 @@ from freecactus.series import (
     cauchy_polynomial_residual,
     check_functional_equations,
     minverse_closed_form,
-    y_count_recursive,
+    y_count,
     y_level_counts,
     y_series,
 )
@@ -155,7 +155,7 @@ def _emit_object(obj: dict, fmt: str) -> None:
 
 def cmd_count(args) -> int:
     if args.kind == "y":
-        _emit_value(y_count_recursive(args.m), args.format)
+        _emit_value(y_count(args.m), args.format)
     elif args.kind == "levels":
         # Polynomial time, but still refused past the cap until a work budget
         # takes its place.

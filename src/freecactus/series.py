@@ -1,21 +1,21 @@
 """Truncated formal power series over exact rationals, the counting
-recursion for the odd-separating family (graded by level), and the
-generating-function identities it satisfies.
+recursion for the odd-separating family (graded by level), its closed
+binomial sums, and the generating-function identities it satisfies.
 
-A TruncatedSeries carries coefficients c_0..c_N for a fixed order N and
-every operation stays exact: results of binary operations carry the
-minimum order of the operands, compositional inverses come from Lagrange
-inversion, and square roots branch to the positive constant term.
-Products, quotients and square roots lift each operand once, by
-``cumulants.lift``, to integer numerators over one denominator, take each
-coefficient from the one truncated convolution ``cumulants.convolve`` on
-ints and divide it once; composition and inversion inherit that through
-the product and the quotient, and the counting recursion, two of the
-functional equations read one coefficient at a time, runs on the same
-convolution.  On top of that sit the series pair (A, B) counting the
-odd-separating partitions by parity, residual checks for the four
-functional equations tying them together, the closed form of the inverted
-moment series, and the degree-six polynomial of the Cauchy transform."""
+A TruncatedSeries holds coefficients c_0..c_N for a fixed order N as int
+numerators over one positive denominator in lowest terms, and every
+operation stays exact: results of binary operations carry the minimum
+order of the operands, compositional inverses come from Lagrange
+inversion, and square roots branch to the positive constant term.  Each
+operation works on the numerators alone, takes every coefficient of a
+product from the one truncated convolution ``cumulants.convolve`` on ints,
+and reduces its result once, by one gcd; a ``Fraction`` is built only when
+a coefficient is read.  The counting recursion, two of the functional
+equations read one coefficient at a time, runs on the same convolution.
+On top of that sit the series pair (A, B) counting the odd-separating
+partitions by parity, residual checks for the four functional equations
+tying them together, the closed form of the inverted moment series, and
+the degree-six polynomial of the Cauchy transform."""
 
 from __future__ import annotations
 
@@ -35,42 +35,72 @@ from freecactus.cumulants import (
 DEFAULT_SERIES_ORDER = 12
 
 
-@dataclass(frozen=True)
+def _trimmed(nums: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """nums[0..n] without trailing zeros."""
+    while n >= 0 and not nums[n]:
+        n -= 1
+    return nums[: n + 1]
+
+
+@dataclass(frozen=True, init=False)
 class TruncatedSeries:
-    """A power series known exactly up to and including z^order."""
+    """A power series known exactly up to and including z^order.
+
+    It is held as int ``numerators`` over one positive ``denominator`` in
+    lowest terms: the gcd of the denominator and every numerator is 1, and
+    the zero series has denominator 1.  That form is unique, so equality
+    and hashing are those of the coefficients.  ``coeffs`` and indexing
+    hand the coefficients out as ``Fraction``s."""
 
     order: int
-    coeffs: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, order: int, coeffs) -> None:
+        if order < 0:
             raise ValueError("series order must be non-negative")
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
-        if len(coeffs) != self.order + 1:
+        values = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        if len(values) != order + 1:
             raise ValueError(
-                f"order {self.order} needs {self.order + 1} coefficients, "
-                f"got {len(coeffs)}"
+                f"order {order} needs {order + 1} coefficients, got {len(values)}"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        # Over the lcm of the reduced denominators no common factor is left.
+        nums, den = lift(values)
+        self._store(tuple(nums), den)
+
+    def _store(self, nums: tuple[int, ...], den: int) -> None:
+        object.__setattr__(self, "order", len(nums) - 1)
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
+
+    @classmethod
+    def _from_ints(cls, nums, den: int) -> "TruncatedSeries":
+        """The series with coefficients nums[k] / den, for den > 0, brought
+        to lowest terms by one gcd."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+        series = cls.__new__(cls)
+        series._store(tuple(nums), den)
+        return series
 
     # ------------------------------------------------------- constructors
 
     @classmethod
     def from_coefficients(cls, values, order: int | None = None) -> "TruncatedSeries":
         """Build a series from leading coefficients, zero-padded to order."""
-        vals = [Fraction(v) for v in values]
+        vals = list(values)
         if order is None:
             order = len(vals) - 1 if vals else 0
         if len(vals) > order + 1:
             raise ValueError(
                 f"{len(vals)} coefficients exceed order {order}"
             )
-        vals += [Fraction(0)] * (order + 1 - len(vals))
-        return cls(order, tuple(vals))
+        return cls(order, vals + [0] * (order + 1 - len(vals)))
 
     @classmethod
     def constant(cls, value, order: int) -> "TruncatedSeries":
-        return cls.from_coefficients([Fraction(value)], order)
+        return cls.from_coefficients([value], order)
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -90,17 +120,21 @@ class TruncatedSeries:
             raise IndexError(
                 f"coefficient {n} is beyond the carried order {self.order}"
             )
-        return self.coeffs[n]
+        return Fraction(self.numerators[n], self.denominator)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.numerators)
 
     def first_nonzero(self) -> int | None:
         """Index of the lowest nonzero coefficient, or None for the zero
         series; handy when reporting a residual that failed."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, x in enumerate(self.numerators):
+            if x:
                 return i
         return None
 
@@ -110,9 +144,11 @@ class TruncatedSeries:
                 f"cannot extend order {self.order} to {order}; coefficients "
                 f"beyond the truncation are unknown"
             )
-        return TruncatedSeries(order, self.coeffs[: order + 1])
+        return TruncatedSeries._from_ints(self.numerators[: order + 1], self.denominator)
 
     def to_json_obj(self) -> list[str]:
+        if self.denominator == 1:
+            return [str(x) for x in self.numerators]
         return [format_rational(c) for c in self.coeffs]
 
     # --------------------------------------------------------- arithmetic
@@ -121,51 +157,59 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return other
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries.constant(other, self.order)
+            return TruncatedSeries._from_ints(
+                (other.numerator,) + (0,) * self.order, other.denominator
+            )
         return None
 
-    def _aligned(self, other):
-        n = min(self.order, other.order)
-        return self.truncate(n), other.truncate(n), n
+    def _sum(self, other: "TruncatedSeries", sign: int) -> "TruncatedSeries":
+        """self + sign * other over the lcm of the two denominators; zip
+        stops at the shorter operand, which is the minimum order."""
+        da, db = self.denominator, other.denominator
+        den = da // math.gcd(da, db) * db
+        sa, sb = den // da, sign * (den // db)
+        return TruncatedSeries._from_ints(
+            [x * sa + y * sb for x, y in zip(self.numerators, other.numerators)], den
+        )
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b, n = self._aligned(other)
-        return TruncatedSeries(
-            n, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-        )
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.order, tuple(-c for c in self.coeffs))
+        return TruncatedSeries._from_ints([-x for x in self.numerators], self.denominator)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._sum(self, -1)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return TruncatedSeries._from_ints(
+                [x * other.numerator for x in self.numerators],
+                self.denominator * other.denominator,
+            )
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b, n = self._aligned(other)
-        (xs, da), (ys, db) = lift(a.coeffs), lift(b.coeffs)
-        # Without trailing zeros, scalar and monomial factors cost O(n).
-        for cs in (xs, ys):
-            while cs and not cs[-1]:
-                cs.pop()
-        d = da * db
-        return TruncatedSeries(n, tuple(Fraction(convolve(xs, ys, k), d) for k in range(n + 1)))
+        n = min(self.order, other.order)
+        # Without trailing zeros, constant and monomial factors cost O(n).
+        xs, ys = _trimmed(self.numerators, n), _trimmed(other.numerators, n)
+        return TruncatedSeries._from_ints(
+            [convolve(xs, ys, k) for k in range(n + 1)], self.denominator * other.denominator
+        )
 
     __rmul__ = __mul__
 
@@ -180,26 +224,33 @@ class TruncatedSeries:
     def __truediv__(self, other):
         """The quotient by a unit divisor, one coefficient at a time.
 
-        On the lifted ints x and y, u_k = out_k y_0^(k+1) dx / dy is an int
-        with u_k = x_k y_0^k - sum over i >= 1 of y_i y_0^(i-1) u_(k-i), so
-        once the divisor's y_i carry their powers of y_0 the recursion is
-        one convolution per order and never divides."""
+        On the numerators x over dx and y over dy, u_k = out_k y_0^(k+1)
+        dx / dy is an int with u_k = x_k y_0^k - sum over i >= 1 of
+        y_i y_0^(i-1) u_(k-i), so once the divisor's y_i carry their powers
+        of y_0 the recursion is one convolution per order and never
+        divides.  Over dx y_0^(n+1) the quotient's numerators are
+        u_k y_0^(n-k) dy."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b, n = self._aligned(other)
-        if b.coeffs[0] == 0:
+        n = min(self.order, other.order)
+        xs, ys = self.numerators, other.numerators
+        if not ys[0]:
             raise ValueError(
                 f"series division needs a unit divisor, got c_0 = 0"
             )
-        (xs, dx), (ys, dy) = lift(a.coeffs), lift(b.coeffs)
         powers = [ys[0] ** k for k in range(n + 2)]
         # Entry 0 pairs with u_k, not yet known, so the convolution never reads it.
-        scaled = [0] + [y * p for y, p in zip(ys[1:], powers)]
+        scaled = [0] + [y * p for y, p in zip(ys[1 : n + 1], powers)]
         u: list[int] = []
         for k in range(n + 1):
             u.append(xs[k] * powers[k] - convolve(scaled, u, k))
-        return TruncatedSeries(n, tuple(Fraction(x * dy, dx * p) for x, p in zip(u, powers[1:])))
+        dy, den = other.denominator, self.denominator * powers[n + 1]
+        if den < 0:
+            dy, den = -dy, -den
+        return TruncatedSeries._from_ints(
+            [x * p * dy for x, p in zip(u, reversed(powers[: n + 1]))], den
+        )
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -213,27 +264,34 @@ class TruncatedSeries:
         if k < 0 or k > self.order:
             raise ValueError(f"cannot shift a series of order {self.order} down by {k}")
         for i in range(k):
-            if self.coeffs[i] != 0:
+            if self.numerators[i]:
                 raise ValueError(
-                    f"cannot divide by z^{k}: c_{i} = {self.coeffs[i]} is nonzero"
+                    f"cannot divide by z^{k}: c_{i} = {self[i]} is nonzero"
                 )
-        return TruncatedSeries(self.order - k, self.coeffs[k:])
+        return TruncatedSeries._from_ints(self.numerators[k:], self.denominator)
 
     # ------------------------------------------------ composition and roots
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner), by Horner evaluation; inner must have no constant
-        term or the substitution would need infinitely many coefficients."""
-        if inner.coeffs[0] != 0:
+        term or the substitution would need infinitely many coefficients.
+
+        On the numerators f of self and y over d of inner, the partial sum
+        after c_k is r / d^(n-k) with r = r y + f_k d^(n-k), so the Horner
+        loop runs on ints and the result is r over the two denominators
+        and d^n."""
+        if inner.numerators[0]:
             raise ValueError(
-                f"composition needs inner c_0 = 0, got c_0 = {inner.coeffs[0]}"
+                f"composition needs inner c_0 = 0, got c_0 = {inner[0]}"
             )
         n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        result = TruncatedSeries.constant(self.coeffs[n], n)
+        fs, ys, d = self.numerators, _trimmed(inner.numerators, n), inner.denominator
+        r, scale = [fs[n]], 1
         for k in range(n - 1, -1, -1):
-            result = result * inner + self.coeffs[k]
-        return result
+            scale *= d
+            r = [convolve(r, ys, i) for i in range(n + 1)]
+            r[0] += fs[k] * scale
+        return TruncatedSeries._from_ints(r, self.denominator * scale)
 
     def comp_inverse(self) -> "TruncatedSeries":
         """The compositional inverse, by Lagrange inversion:
@@ -242,47 +300,51 @@ class TruncatedSeries:
         w / f(w) is one division of f shifted down, and its powers come one
         product each, so order N costs N products, O(N^3) in all
         (Flajolet and Sedgewick, Analytic Combinatorics, 2009, A.6)."""
-        if self.coeffs[0] != 0:
+        if self.numerators[0]:
             raise ValueError(
-                f"compositional inverse needs c_0 = 0, got c_0 = {self.coeffs[0]}"
+                f"compositional inverse needs c_0 = 0, got c_0 = {self[0]}"
             )
-        if self.order < 1 or self.coeffs[1] == 0:
-            c1 = self.coeffs[1] if self.order >= 1 else "absent"
+        if self.order < 1 or not self.numerators[1]:
+            c1 = self[1] if self.order >= 1 else "absent"
             raise ValueError(
                 f"compositional inverse needs c_1 invertible, got c_1 = {c1}"
             )
         quotient = 1 / self.shift_down(1)
-        power, inv = quotient, [Fraction(0)]
+        power, nums, dens = quotient, [0], [1]
         for k in range(1, self.order + 1):
-            inv.append(power[k - 1] / k)
+            nums.append(power.numerators[k - 1])
+            dens.append(k * power.denominator)
             if k < self.order:
                 power = power * quotient
-        return TruncatedSeries(self.order, tuple(inv))
+        den = math.lcm(*dens)
+        return TruncatedSeries._from_ints([x * (den // e) for x, e in zip(nums, dens)], den)
 
     def sqrt(self) -> "TruncatedSeries":
         """The square root branch with positive constant term.  Needs c_0
         to be the square of a positive rational so every later coefficient
         stays rational."""
-        c0 = self.coeffs[0]
-        if c0 <= 0:
+        cs, d = self.numerators, self.denominator
+        if cs[0] <= 0:
             raise ValueError(
-                f"series sqrt needs a positive constant term, got c_0 = {c0}"
+                f"series sqrt needs a positive constant term, got c_0 = {self[0]}"
             )
-        np_, dp = c0.numerator, c0.denominator
+        g = math.gcd(cs[0], d)
+        np_, dp = cs[0] // g, d // g
         rn, rd = math.isqrt(np_), math.isqrt(dp)
         if rn * rn != np_ or rd * rd != dp:
             raise ValueError(
-                f"series sqrt needs c_0 to be a rational square, got c_0 = {c0}"
+                f"series sqrt needs c_0 to be a rational square, got c_0 = {self[0]}"
             )
         # Over d^2 the constant term is the int square r^2, r = rn d / rd, and
-        # the root v of those numerators has w_k = v_k (2r)^(2k - 1) an int.
-        cs, d = lift(self.coeffs)
-        two_r = 2 * rn * d // rd
+        # the root v of those numerators has w_k = v_k (2r)^(2k - 1) an int,
+        # so over d (2r)^(2n) the root's numerators are w_k (2r)^(2n - 2k + 1).
+        n, two_r = self.order, 2 * rn * d // rd
         w = [0]
-        for k in range(1, self.order + 1):
+        for k in range(1, n + 1):
             w.append(cs[k] * d * two_r ** (2 * k - 2) - convolve(w, w, k))
-        tail = (Fraction(x, d * two_r ** (2 * k - 1)) for k, x in enumerate(w[1:], start=1))
-        return TruncatedSeries(self.order, (Fraction(rn, rd), *tail))
+        den = d * two_r ** (2 * n)
+        tail = [x * two_r ** (2 * (n - k) + 1) for k, x in enumerate(w[1:], start=1)]
+        return TruncatedSeries._from_ints([rn * (den // rd), *tail], den)
 
 
 # --------------------------------------------------- the counting recursion
@@ -332,6 +394,43 @@ def y_count_recursive(m: int) -> int:
     return _family_size(m)
 
 
+def _binomial_sum(k: int, p: int, q: int) -> int:
+    """c(k, p, q) = [u^k] (1 - 2u)^(-p) (1 - u^2)^(-q), the sum over j of
+    2^(k-2j) C(p+k-2j-1, k-2j) C(q+j-1, j), each term stepped from the last
+    by its ratio (i - 1) i (q + j) / (4 (p + i - 2) (p + i - 1) (j + 1)),
+    i = k - 2j, which divides exactly since both terms are ints."""
+    if k < 0:
+        return 0
+    term = 2**k * math.comb(p + k - 1, k)
+    total = term
+    for j in range(k // 2):
+        i = k - 2 * j
+        term = term * (i - 1) * i * (q + j) // (4 * (p + i - 2) * (p + i - 1) * (j + 1))
+        total += term
+    return total
+
+
+def y_count(m: int) -> int:
+    """Size of the odd-separating family on [m] from closed binomial sums.
+
+    The odd quartic is B = x phi(B) with phi(u) = 1/((1 - 2u)(1 - u^2)), so
+    Lagrange inversion gives beta(n) = [u^(n-1)] phi^n / n = c(n-1, n, n)/n.
+    Lagrange-Buermann on A = B^2/(1 - B^2) + B^2/x gives alpha(n) =
+    2 c(n-2, n, n+2)/n + 2 c(n-1, n+1, n+1)/(n+1), each part the integer
+    [x^n] of a series in B (Flajolet and Sedgewick, Analytic Combinatorics,
+    2009, A.6).  That is O(m) steps of a big integer times small ones where
+    the recursion takes O(m^2) big-integer products; ``y_count_recursive``
+    stays as the reference."""
+    if m < 1:
+        raise ValueError("ground set size must be at least 1")
+    n = (m + 1) // 2
+    if m % 2:
+        return _binomial_sum(n - 1, n, n) // n
+    # [x^n] B^2/(1 - B^2), the members whose last block is even-only
+    even_only = 2 * _binomial_sum(n - 2, n, n + 2) // n
+    return even_only + 2 * _binomial_sum(n - 1, n + 1, n + 1) // (n + 1)
+
+
 def y_level_counts(m: int) -> list[int]:
     """Histogram of the odd-separating family on [m] by level (the number
     of even-only blocks), from the graded recursion in polynomial time.
@@ -352,8 +451,8 @@ def y_series(order: int = DEFAULT_SERIES_ORDER) -> tuple[TruncatedSeries, Trunca
     """The pair (A, B) of counting series: A collects the even ground set
     sizes, B the odd ones.  Both are constant-free by construction."""
     alpha, beta = _count_lists(order)
-    a = TruncatedSeries.from_coefficients([0] + alpha[1 : order + 1], order)
-    b = TruncatedSeries.from_coefficients([0] + beta[1 : order + 1], order)
+    a = TruncatedSeries._from_ints([0] + alpha[1 : order + 1], 1)
+    b = TruncatedSeries._from_ints([0] + beta[1 : order + 1], 1)
     return a, b
 
 
@@ -503,7 +602,7 @@ def cauchy_polynomial_residual(
         moments = moments_from_cumulants(
             CumulantSpec.explicit(free_poisson_pair_cumulants(n_moments)), n_moments
         )
-    values = [Fraction(m) for m in moments]
+    values = list(moments)
     if len(values) < n_moments:
         raise ValueError(
             f"need {n_moments} moments, got {len(values)}"
@@ -527,10 +626,11 @@ def cauchy_polynomial_residual(
         (-4, 2, 2),
         (-4, 1, 1),
     )
-    residual = [Fraction(0)] * (n_moments + 1)
-    residual[0] = Fraction(8)
+    # The terms' numerators summed over the lcm of the powers' denominators.
+    den = math.lcm(*(power.denominator for power in powers.values()))
+    residual = [8 * den] + [0] * n_moments
     for coeff, k, j in terms:
         power = powers[j]
-        for e in range(n_moments + 1):
-            residual[e] += coeff * power[e + k]
-    return residual
+        scale = coeff * (den // power.denominator)
+        residual = [r + scale * x for r, x in zip(residual, power.numerators[k:])]
+    return [Fraction(x, den) for x in residual]

@@ -34,6 +34,7 @@ from freecactus.series import (
     free_poisson_pair_cumulants,
     minverse_closed_form,
     r_m_transfer,
+    y_count,
     y_count_recursive,
     y_level_counts,
     y_series,
@@ -329,6 +330,8 @@ def reference_compose(f, g):
 
 
 def exact_coeffs(s):
+    # Lowest terms: one positive denominator sharing no factor with all numerators.
+    assert s.denominator > 0 and math.gcd(s.denominator, *s.numerators) == 1
     assert all(type(c) is Fraction for c in s.coeffs)
     return s.coeffs
 
@@ -358,6 +361,52 @@ def test_integer_sqrt_and_compose_equal_the_fraction_recursions(seed):
         f = mixed_series(rng, rng.randint(0, 10))
         g = mixed_series(rng, rng.randint(1, 10), constant=0)
         assert exact_coeffs(f.compose(g)) == reference_compose(f, g)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_linear_operations_equal_the_fraction_arithmetic(seed):
+    rng = random.Random(SEED + seed)
+    for _ in range(25):
+        a = mixed_series(rng, rng.randint(0, 12))
+        b = mixed_series(rng, rng.randint(0, 12))
+        pairs = list(zip(a.coeffs, b.coeffs))
+        assert exact_coeffs(a + b) == tuple(x + y for x, y in pairs)
+        assert exact_coeffs(a - b) == tuple(x - y for x, y in pairs)
+        assert exact_coeffs(-a) == tuple(-x for x in a.coeffs)
+        scalar = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+        assert exact_coeffs(a * scalar) == tuple(scalar * x for x in a.coeffs)
+        assert exact_coeffs(scalar - a) == (scalar - a[0],) + tuple(-x for x in a.coeffs[1:])
+        assert exact_coeffs(b - b) == (0,) * (b.order + 1) and (b - b).denominator == 1
+
+
+def test_equal_series_are_equal_and_hash_equal():
+    left = series([Fraction(1, 2), Fraction(1, 3)]) * 6
+    right = series([3, 2])
+    assert left == right and hash(left) == hash(right)
+    assert (left.numerators, left.denominator) == ((3, 2), 1)
+    half = series([Fraction(1, 2), Fraction(1, 4)])
+    assert half + half == series([1, Fraction(1, 2)])
+    assert hash(half + half) == hash(series([1, Fraction(1, 2)]))
+    assert half - half == half * 0 == TruncatedSeries.zero(1)
+    assert len({left, right, half, half * 2 - half}) == 2
+
+
+def test_the_functional_equations_build_no_fraction_until_a_residual_is_read(monkeypatch):
+    import freecactus.series as series_module
+
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(series_module, "Fraction", CountingFraction)
+    report = check_functional_equations(*y_series(40))
+    assert report.all_pass and report.failing() == []
+    assert built == []
+    assert report.residuals[0][1][0] == 0
+    assert len(built) == 1
 
 
 def test_sqrt_at_low_orders():
@@ -449,6 +498,17 @@ def test_odd_counts_match_the_lagrange_closed_form():
             for j in range((n - 1) // 2 + 1)
         )
         assert total % n == 0 and beta[n] == total // n, n
+
+
+def test_closed_sums_equal_the_counting_recursion():
+    """count y reads both parities off two binomial sums; one recursion
+    run to order 300 holds every value."""
+    alpha, beta = _count_lists(300)
+    for n in range(1, 301):
+        assert y_count(2 * n - 1) == beta[n], 2 * n - 1
+        assert y_count(2 * n) == alpha[n], 2 * n
+    with pytest.raises(ValueError, match="at least 1"):
+        y_count(0)
 
 
 def test_graded_recursion_sums_to_the_family_size():
