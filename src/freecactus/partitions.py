@@ -436,8 +436,8 @@ def level_counts(m: int, cap: int | None = None) -> list[int]:
     Entry r counts members with exactly r even-only blocks; for m = 8:
     [112, 41, 2].  ``_core_py.y_level_histogram`` tallies the pruned
     stream behind ``enumerate_y``.  The tally is exponential in m and is
-    kept as the reference: ``count levels`` is served by the graded
-    recursion ``series.y_level_counts``, and the tests compare the two.
+    kept as the reference: ``count levels`` is served by the closed sums
+    ``series.y_level_counts``, and the tests and ``verify`` compare them.
     """
     if m < 1:
         raise ValueError("ground set size must be positive")

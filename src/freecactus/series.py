@@ -1,16 +1,16 @@
 """Truncated formal power series over exact rationals, the counting
-recursion for the odd-separating family (graded by level), its closed
-binomial sums, and the generating-function identities it satisfies.
+recursion for the odd-separating family, closed binomial sums for its size
+and levels, and the generating-function identities it satisfies.
 
 A TruncatedSeries holds coefficients c_0..c_N for a fixed order N as int
 numerators over one positive denominator in lowest terms, and every
 operation stays exact: results of binary operations carry the minimum
 order of the operands, compositional inverses come from Lagrange
 inversion, and square roots branch to the positive constant term.  Each
-operation works on the numerators alone, takes every coefficient of a
-product from the one truncated convolution ``cumulants.convolve`` on ints,
-and reduces its result once, by one gcd; a ``Fraction`` is built only when
-a coefficient is read.  The counting recursion, two of the functional
+operation works on the numerators alone, shifts a product by a monomial,
+takes any other from ``cumulants.convolve``, the one truncated convolution,
+and reduces its result once, by one gcd; a ``Fraction`` is built only
+when a coefficient is read.  The counting recursion, two of the functional
 equations read one coefficient at a time, runs on the same convolution.
 On top of that sit the series pair (A, B) counting the odd-separating
 partitions by parity, residual checks for the four functional equations
@@ -196,20 +196,18 @@ class TruncatedSeries:
         return other._sum(self, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries._from_ints(
-                [x * other.numerator for x in self.numerators],
-                self.denominator * other.denominator,
-            )
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = min(self.order, other.order)
-        # Without trailing zeros, constant and monomial factors cost O(n).
+        n, den = min(self.order, other.order), self.denominator * other.denominator
         xs, ys = _trimmed(self.numerators, n), _trimmed(other.numerators, n)
-        return TruncatedSeries._from_ints(
-            [convolve(xs, ys, k) for k in range(n + 1)], self.denominator * other.denominator
-        )
+        if not any(ys[:-1]):
+            xs, ys = ys, xs
+        if xs and not any(xs[:-1]):
+            # A scalar or monomial c z^j shifts the other factor by j and scales it by c.
+            shifted = [0] * (len(xs) - 1) + [xs[-1] * y for y in ys] + [0] * (n + 1)
+            return TruncatedSeries._from_ints(shifted[: n + 1], den)
+        return TruncatedSeries._from_ints([convolve(xs, ys, k) for k in range(n + 1)], den)
 
     __rmul__ = __mul__
 
@@ -350,23 +348,18 @@ class TruncatedSeries:
 # --------------------------------------------------- the counting recursion
 
 
-def _count_lists(n_max: int, t: int = 1) -> tuple[list[int], list[int]]:
+def _count_lists(n_max: int) -> tuple[list[int], list[int]]:
     """Family sizes by parity: alpha[i] counts the even ground set 2i
     (alpha[0] = 1 for the empty partition), beta[i] the odd ground set
     2i - 1.
 
     The lists are read one order at a time off the pair's two functional
-    equations, B(1 - B) = x(A + 1) and A = t B^2/(1 - B^2) + B^2/x.  With
+    equations, B(1 - B) = x(A + 1) and A = B^2/(1 - B^2) + B^2/x.  With
     alpha[0] = 1 as the "+1", the first gives beta[n] = alpha[n - 1] +
     [x^n] B^2.  The second takes b2 = B^2 one order up and h = 1/(1 - B^2)
-    = 1 + B^2 h, so h[n] = [x^n] B^2 h and alpha[n] = t h[n] + b2[n + 1].
+    = 1 + B^2 h, so h[n] = [x^n] B^2 h and alpha[n] = h[n] + b2[n + 1].
     Neither b2 nor h changes below its top entry as n grows, so each order
     takes two convolutions and the run O(n_max^2) multiplications.
-
-    In B^2 h, the sum of (B^2)^s over s >= 1, the term (B^2)^s is the case
-    where the last element's block is even-only with 2s elements.  That
-    sum is multiplied by ``t``, so every member is counted with weight
-    t^level; t = 1 gives the plain sizes.
     """
     alpha, beta = [1], [0]
     b2, h = [0, 0], [1]
@@ -374,24 +367,18 @@ def _count_lists(n_max: int, t: int = 1) -> tuple[list[int], list[int]]:
         beta.append(alpha[n - 1] + b2[n])
         b2.append(convolve(beta, beta, n + 1))
         h.append(convolve(b2, h, n))
-        alpha.append(t * h[n] + b2[n + 1])
+        alpha.append(h[n] + b2[n + 1])
     return alpha, beta
-
-
-def _family_size(m: int, t: int = 1) -> int:
-    """Size of the odd-separating family on [m], each member weighted by
-    t^level."""
-    if m < 1:
-        raise ValueError("ground set size must be at least 1")
-    alpha, beta = _count_lists((m + 1) // 2, t)
-    return alpha[m // 2] if m % 2 == 0 else beta[(m + 1) // 2]
 
 
 def y_count_recursive(m: int) -> int:
     """Size of the odd-separating family on [m], from the recursion alone;
     no partition is ever materialized, so this reaches far beyond the
     enumeration cap."""
-    return _family_size(m)
+    if m < 1:
+        raise ValueError("ground set size must be at least 1")
+    alpha, beta = _count_lists((m + 1) // 2)
+    return alpha[m // 2] if m % 2 == 0 else beta[(m + 1) // 2]
 
 
 def _binomial_sum(k: int, p: int, q: int) -> int:
@@ -433,18 +420,27 @@ def y_count(m: int) -> int:
 
 def y_level_counts(m: int) -> list[int]:
     """Histogram of the odd-separating family on [m] by level (the number
-    of even-only blocks), from the graded recursion in polynomial time.
+    of even-only blocks), lowest level first, from closed binomial sums.
 
-    The recursion runs at t = 2^k with 2^k above the family size, so no
-    level count can carry into the next and the base-2^k digits of the
-    weighted size are the histogram, lowest level first."""
-    shift = y_count_recursive(m).bit_length()
-    packed, mask = _family_size(m, 1 << shift), (1 << shift) - 1
-    levels = []
-    while packed:
-        levels.append(packed & mask)
-        packed >>= shift
-    return levels
+    A weight t per even-only block makes the odd quartic B = x phi(B) with
+    phi(u) = (1 + t u^2/(1 - u^2))/(1 - 2u).  As in ``y_count``, level l of
+    the ground set 2n - 1 is C(n, l) c(n-1-2l, n, l)/n, and A = t B^2/(1 -
+    B^2) + B^2/x gives that of 2n as 2 C(n, l-1) c(n-2l, n, l+1)/n +
+    2 C(n+1, l) c(n-1-2l, n+1, l)/(n+1); each part is the integer
+    [x^n t^l] of a series in B, and the top level is never zero."""
+    if m < 1:
+        raise ValueError("ground set size must be at least 1")
+    n = (m + 1) // 2
+    if m % 2:
+        return [
+            math.comb(n, l) * _binomial_sum(n - 1 - 2 * l, n, l) // n for l in range((n + 1) // 2)
+        ]
+    return [
+        # [x^n] t B^2/(1 - B^2), the members whose last block is even-only; none at level 0
+        (l and 2 * math.comb(n, l - 1) * _binomial_sum(n - 2 * l, n, l + 1) // n)
+        + 2 * math.comb(n + 1, l) * _binomial_sum(n - 1 - 2 * l, n + 1, l) // (n + 1)
+        for l in range(n // 2 + 1)
+    ]
 
 
 def y_series(order: int = DEFAULT_SERIES_ORDER) -> tuple[TruncatedSeries, TruncatedSeries]:

@@ -57,6 +57,7 @@ from freecactus.series import (
     free_poisson_pair_cumulants,
     minverse_closed_form,
     r_m_transfer,
+    y_level_counts,
     y_series,
 )
 
@@ -219,6 +220,7 @@ def special_cases(rng: random.Random) -> str:
 
 def rate_polynomial(rng: random.Random) -> str:
     levels = [free_poisson_anticommutator_polynomial(n) for n in range(1, 5)]
+    require(levels == [[2 * c for c in y_level_counts(2 * n)] for n in range(1, 5)], "level sums")
     for lam in (Fraction(1), Fraction(2), Fraction(5, 2)):
         spec = CumulantSpec.free_poisson(lam)
         from_dp = dp_cumulants((spec, spec), ANTICOMMUTATOR_WEIGHTS, 4)

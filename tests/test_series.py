@@ -5,9 +5,12 @@ series.
 The recursion values are frozen against the enumeration for every ground
 set the enumerator can reach, and beyond that against the independently
 coded level histogram and, for the odd sizes, the Lagrange closed form of
-the odd quartic; the closed forms are checked coefficientwise
-against triangular inversion, which shares no code with them."""
+the odd quartic.  The closed level sums are checked at every level against
+the recursion graded by level, kept here as their reference; the closed
+forms are checked coefficientwise against triangular inversion, which
+shares no code with them."""
 
+import functools
 import math
 import random
 import re
@@ -28,6 +31,7 @@ from freecactus.dp import dp_cumulants
 from freecactus.series import (
     DEFAULT_SERIES_ORDER,
     TruncatedSeries,
+    _binomial_sum,
     _count_lists,
     cauchy_polynomial_residual,
     check_functional_equations,
@@ -169,6 +173,27 @@ def test_scalar_and_monomial_products_equal_the_dense_product():
             for k in range(order + 1)
         )
         assert (left * right).coeffs == want
+
+
+def test_monomial_products_make_no_convolution(monkeypatch):
+    import freecactus.series as series_module
+
+    calls = []
+
+    def counting(xs, ys, n):
+        calls.append(n)
+        return convolve(xs, ys, n)
+
+    monkeypatch.setattr(series_module, "convolve", counting)
+    s = series([Fraction(i * i - 7, i + 2) for i in range(41)])
+    x = TruncatedSeries.identity(40)
+    mono = series([0] * 5 + [Fraction(-3, 7)], order=40)
+    pairs = ((s, x), (x, s), (s, mono), (mono, s), (x, mono), (4, s), (s, Fraction(2, 3)))
+    for left, right in pairs:
+        left * right
+    assert calls == []
+    s * s
+    assert len(calls) == 41
 
 
 def test_power():
@@ -468,19 +493,57 @@ def test_recursion_matches_enumeration_to_twelve():
         assert y_count_recursive(m) == sum(1 for _ in enumerate_y(m))
 
 
+def graded_count_lists(n_max, t):
+    """The counting recursion graded by level, the reference for the closed
+    level sums: ``_count_lists`` with the B^2/(1 - B^2) term of A = B^2/(1 -
+    B^2) + B^2/x weighted by t.  In B^2 h, the sum of (B^2)^s over s >= 1,
+    the term (B^2)^s is the case where the last element's block is
+    even-only with 2s elements, so every member is counted with weight
+    t^level."""
+    alpha, beta = [1], [0]
+    b2, h = [0, 0], [1]
+    for n in range(1, n_max + 1):
+        beta.append(alpha[n - 1] + b2[n])
+        b2.append(convolve(beta, beta, n + 1))
+        h.append(convolve(b2, h, n))
+        alpha.append(t * h[n] + b2[n + 1])
+    return alpha, beta
+
+
+@functools.lru_cache(maxsize=None)
+def graded_levels(m_max):
+    """The level counts of every m <= m_max from one graded run: t = 2^shift
+    exceeds every family size up to m_max, so the run keeps the level counts
+    of each m in separate base-t digits, lowest level first."""
+    shift = y_count_recursive(m_max).bit_length()
+    alpha, beta = graded_count_lists((m_max + 1) // 2, 1 << shift)
+    levels = {}
+    for m in range(1, m_max + 1):
+        packed = alpha[m // 2] if m % 2 == 0 else beta[(m + 1) // 2]
+        digits = []
+        while packed:
+            digits.append(packed % (1 << shift))
+            packed >>= shift
+        levels[m] = digits
+    return levels
+
+
 def test_counting_recursion_takes_two_convolutions_per_order(monkeypatch):
     import freecactus.series as series_module
 
-    calls = []
+    calls, real = [], convolve
 
     def counting(xs, ys, n):
         calls.append(n)
-        return convolve(xs, ys, n)
+        return real(xs, ys, n)
 
     monkeypatch.setattr(series_module, "convolve", counting)
+    _count_lists(40)
+    assert len(calls) == 2 * 40
+    monkeypatch.setitem(globals(), "convolve", counting)
     for t in (1, 7):
         calls.clear()
-        _count_lists(40, t)
+        graded_count_lists(40, t)
         assert len(calls) == 2 * 40, t
 
 
@@ -512,18 +575,42 @@ def test_closed_sums_equal_the_counting_recursion():
 
 
 def test_graded_recursion_sums_to_the_family_size():
-    # t = 2^shift exceeds every family size up to m = 200, so one graded
-    # run keeps the level counts of each m in separate base-t digits.
-    shift = y_count_recursive(200).bit_length()
-    alpha, beta = _count_lists(100, 1 << shift)
-    for m in range(1, 201):
-        packed = alpha[m // 2] if m % 2 == 0 else beta[(m + 1) // 2]
-        digits = []
-        while packed:
-            digits.append(packed % (1 << shift))
-            packed >>= shift
+    assert graded_count_lists(100, 1) == _count_lists(100)
+    for m, digits in graded_levels(200).items():
         assert sum(digits) == y_count_recursive(m), m
     assert sum(y_level_counts(200)) == y_count_recursive(200)
+
+
+def test_level_sums_equal_the_graded_recursion_at_every_level():
+    for m, digits in graded_levels(200).items():
+        assert y_level_counts(m) == digits, m
+    with pytest.raises(ValueError, match="at least 1"):
+        y_level_counts(0)
+
+
+def test_every_lagrange_level_term_divides_exactly():
+    """Each part of a level count is a coefficient of an integer series in
+    x and t, so its numerator divides by n (or n + 1) with no remainder;
+    the parts of each m sum to the closed family size."""
+    for m in range(1, 401):
+        n = (m + 1) // 2
+        if m % 2:
+            parts = [
+                (math.comb(n, l) * _binomial_sum(n - 1 - 2 * l, n, l), n)
+                for l in range((n - 1) // 2 + 1)
+            ]
+        else:
+            parts = [
+                (2 * math.comb(n + 1, l) * _binomial_sum(n - 1 - 2 * l, n + 1, l), n + 1)
+                for l in range(n // 2 + 1)
+            ] + [
+                (2 * math.comb(n, l - 1) * _binomial_sum(n - 2 * l, n, l + 1), n)
+                for l in range(1, n // 2 + 1)
+            ]
+        for numerator, divisor in parts:
+            assert numerator % divisor == 0, (m, numerator, divisor)
+        assert sum(numerator // divisor for numerator, divisor in parts) == y_count(m), m
+        assert sum(y_level_counts(m)) == y_count(m), m
 
 
 @pytest.mark.parametrize("rate", [Fraction(2), Fraction(1, 3)])

@@ -86,6 +86,21 @@ def test_transfer_identity_catches_a_wrong_dp_cumulant(monkeypatch):
     assert "series.transfer_identity" in summary["failures"]
 
 
+def test_rate_polynomial_catches_a_wrong_closed_level_sum(monkeypatch):
+    # The closed level sums are held to the level scan behind the polynomial.
+    closed = verify.y_level_counts
+
+    def top_level_off(m):
+        levels = closed(m)
+        levels[-1] += 1
+        return levels
+
+    monkeypatch.setattr(verify, "y_level_counts", top_level_off)
+    summary = run_suite("formulas")
+    assert [c["name"] for c in summary["checks"]] == PINNED["formulas"]
+    assert summary["failures"] == ["formulas.rate_polynomial"]
+
+
 def test_class_sizes_catches_a_class_yielded_twice(monkeypatch):
     # A duplicate would collapse into one key of the signature table.
     generate = cactus_mod.enumerate_oriented_cacti
