@@ -31,7 +31,6 @@ from freecactus.cumulants import (
     cumulants_from_moments,
     even_anticommutator,
     format_rational,
-    free_poisson_anticommutator_polynomial,
     moments_from_cumulants,
     oracle_anticommutator_cumulants,
     oracle_anticommutator_moments,

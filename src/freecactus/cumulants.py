@@ -59,7 +59,6 @@ from freecactus.partitions import (
     enumerate_nc,
     enumerate_y,
     kreweras,
-    level_counts,
     refines,
 )
 
@@ -125,21 +124,6 @@ class CumulantSpec:
         if n <= len(self.values):
             return self.values[n - 1]
         return Fraction(0)
-
-    def scaled(self, t) -> "CumulantSpec":
-        """The spec of t times the variable: kappa_n picks up t^n.
-
-        Only meaningful for explicit specs and free Poisson is not closed
-        under scaling, so the result is always an explicit spec; callers
-        say how far it must reach via the length of the original list.
-        """
-        if self.kind != "explicit":
-            raise ValueError("scaled() expects an explicit spec")
-        t = Fraction(t)
-        return CumulantSpec.explicit(
-            [v * t**j for j, v in enumerate(self.values, start=1)],
-            name=f"{format_rational(t)}*({self.name})",
-        )
 
 
 def parse_spec(text: str) -> CumulantSpec:
@@ -495,17 +479,6 @@ def quadratic_form_cumulant(
     else:
         raise ValueError(f"route must be 'partition' or 'graph', got {route!r}")
     return _cactus_sum(sized, specs, weights, n)
-
-
-def free_poisson_anticommutator_polynomial(n: int, cap: int | None = None) -> list[int]:
-    """Coefficient sequence of the rate polynomial of kappa_n(ab + ba) for
-    two free Poisson variables of the same rate.
-
-    Returns [d_0, .., d_h]: the cumulant equals the sum of d_r times
-    rate^(n+1-r), with h = floor(n/2).  Each d_r is twice the level-r
-    count of odd-separating partitions of [2n]; d_0 = 2^n C_n leads."""
-    counts = level_counts(2 * n, cap=cap)
-    return [2 * c for c in counts]
 
 
 # ------------------------------------------------------------------- oracle

@@ -49,7 +49,7 @@ class Partition:
     notation.
     """
 
-    __slots__ = ("_blocks", "_size", "_index_of")
+    __slots__ = ("_blocks", "_size")
 
     def __init__(self, blocks: Iterable[Iterable[int]], ground_size: int | None = None):
         normalized = []
@@ -78,7 +78,6 @@ class Partition:
         normalized.sort(key=lambda b: b[0])
         self._blocks = tuple(normalized)
         self._size = m
-        self._index_of = None
 
     @classmethod
     def _unchecked(cls, blocks: tuple[tuple[int, ...], ...], size: int) -> "Partition":
@@ -86,7 +85,6 @@ class Partition:
         p = object.__new__(cls)
         p._blocks = blocks
         p._size = size
-        p._index_of = None
         return p
 
     @property
@@ -111,25 +109,6 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition({self.to_text()!r})"
 
-    def _index_map(self) -> dict[int, int]:
-        if self._index_of is None:
-            index = {}
-            for i, block in enumerate(self._blocks):
-                for x in block:
-                    index[x] = i
-            self._index_of = index
-        return self._index_of
-
-    def block_index_of(self, x: int) -> int:
-        """Index (into ``blocks``) of the block containing x."""
-        try:
-            return self._index_map()[x]
-        except KeyError:
-            raise ValueError(f"{x} is not in the ground set 1..{self._size}") from None
-
-    def block_containing(self, x: int) -> tuple[int, ...]:
-        return self._blocks[self.block_index_of(x)]
-
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self._blocks)
 
@@ -149,10 +128,6 @@ class Partition:
 
     def to_json_obj(self) -> list[list[int]]:
         return [list(block) for block in self._blocks]
-
-    @classmethod
-    def from_json_obj(cls, obj: Sequence[Sequence[int]]) -> "Partition":
-        return cls(obj)
 
     @classmethod
     def singletons(cls, m: int) -> "Partition":
@@ -361,7 +336,7 @@ def refines(p: Partition, q: Partition) -> bool:
         raise ValueError(
             f"refines needs equal ground sets, got {p.ground_size} and {q.ground_size}"
         )
-    idx = q._index_map()
+    idx = {x: i for i, block in enumerate(q.blocks) for x in block}
     return all(len({idx[x] for x in block}) == 1 for block in p.blocks)
 
 

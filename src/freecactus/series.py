@@ -103,10 +103,6 @@ class TruncatedSeries:
         return cls.from_coefficients([value], order)
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coefficients([], order)
-
-    @classmethod
     def identity(cls, order: int) -> "TruncatedSeries":
         """The series z."""
         if order < 1:
@@ -210,14 +206,6 @@ class TruncatedSeries:
         return TruncatedSeries._from_ints([convolve(xs, ys, k) for k in range(n + 1)], den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("series powers take non-negative integers")
-        result = TruncatedSeries.constant(1, self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __truediv__(self, other):
         """The quotient by a unit divisor, one coefficient at a time.
@@ -552,28 +540,21 @@ class RMSeries(NamedTuple):
     M: TruncatedSeries
 
 
-def r_m_transfer(
-    cumulants: CumulantSpec | Sequence, order: int = DEFAULT_SERIES_ORDER
-) -> RMSeries:
-    """The cumulant series R(z) and moment series M(z) of one
-    distribution, both constant-free and truncated at the same order.
+def r_m_transfer(cumulants: Sequence, order: int = DEFAULT_SERIES_ORDER) -> RMSeries:
+    """The cumulant series R(z) and moment series M(z) of the distribution
+    with the given cumulant list kappa_1, kappa_2, .., both constant-free
+    and truncated at ``order``; the list needs at least ``order`` entries.
 
     Their compositional inverses are tied by M^(-1)(z) = R^(-1)(z)/(1+z)
     whenever the inverses exist (first cumulant nonzero); tests and the
     CLI verification suite assert that identity on concrete data."""
     if order < 1:
         raise ValueError("transfer needs order at least 1")
-    if isinstance(cumulants, CumulantSpec):
-        spec = cumulants
-    else:
-        values = [Fraction(c) for c in cumulants]
-        if len(values) < order:
-            raise ValueError(
-                f"need {order} cumulants for order {order}, got {len(values)}"
-            )
-        spec = CumulantSpec.explicit(values)
-    kappas = [spec.kappa(n) for n in range(1, order + 1)]
-    moments = moments_from_cumulants(spec, order)
+    kappas = [Fraction(c) for c in cumulants]
+    if len(kappas) < order:
+        raise ValueError(f"need {order} cumulants for order {order}, got {len(kappas)}")
+    kappas = kappas[:order]
+    moments = moments_from_cumulants(CumulantSpec.explicit(kappas), order)
     r = TruncatedSeries.from_coefficients([Fraction(0)] + kappas, order)
     m = TruncatedSeries.from_coefficients([Fraction(0)] + moments, order)
     return RMSeries(R=r, M=m)

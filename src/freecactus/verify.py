@@ -30,7 +30,6 @@ from freecactus.cumulants import (
     anticommutator_cumulant,
     anticommutator_cumulant_graphwise,
     even_anticommutator,
-    free_poisson_anticommutator_polynomial,
     moments_from_cumulants,
     oracle_anticommutator_cumulants,
     oracle_quadratic_cumulants,
@@ -49,6 +48,7 @@ from freecactus.partitions import (
     interval_pairing,
     join,
     kreweras,
+    level_counts,
 )
 from freecactus.series import (
     TruncatedSeries,
@@ -219,8 +219,11 @@ def special_cases(rng: random.Random) -> str:
 
 
 def rate_polynomial(rng: random.Random) -> str:
-    levels = [free_poisson_anticommutator_polynomial(n) for n in range(1, 5)]
-    require(levels == [[2 * c for c in y_level_counts(2 * n)] for n in range(1, 5)], "level sums")
+    scans = {m: level_counts(m) for m in range(1, 9)}
+    for m, counts in scans.items():
+        require(y_level_counts(m) == counts, ("level sums", m))
+    # kappa_n(ab + ba) at rate lam is the sum of d_r lam^(n+1-r), d_r twice level r of Y_2n.
+    levels = [[2 * c for c in scans[2 * n]] for n in range(1, 5)]
     for lam in (Fraction(1), Fraction(2), Fraction(5, 2)):
         spec = CumulantSpec.free_poisson(lam)
         from_dp = dp_cumulants((spec, spec), ANTICOMMUTATOR_WEIGHTS, 4)

@@ -418,11 +418,12 @@ def first_visit_order(p):
     for block in p.blocks:
         for a, b in zip(block, block[1:] + block[:1]):
             succ[a] = b
+    index = {x: i for i, block in enumerate(p.blocks) for x in block}
     order = []
     x = 1
     while True:
-        if p.block_index_of(x) not in order:
-            order.append(p.block_index_of(x))
+        if index[x] not in order:
+            order.append(index[x])
         x = succ[x + 1 if x % 2 else x - 1]
         if x == 1:
             return order

@@ -27,7 +27,6 @@ from freecactus import (
     enumerate_connected,
     even_anticommutator,
     format_rational,
-    free_poisson_anticommutator_polynomial,
     level_counts,
     moments_from_cumulants,
     oracle_anticommutator_cumulants,
@@ -118,18 +117,6 @@ def test_explicit_pads_with_zero_by_default():
 def test_kappa_rejects_order_zero():
     with pytest.raises(ValueError):
         CumulantSpec.semicircular().kappa(0)
-
-
-def test_scaled_multiplies_by_powers():
-    spec = CumulantSpec.explicit([Fraction(1, 2), 3, Fraction(-2, 5)])
-    doubled = spec.scaled(2)
-    assert [doubled.kappa(n) for n in (1, 2, 3)] == [1, 12, Fraction(-16, 5)]
-    assert doubled.kappa(4) == 0
-
-
-def test_scaled_requires_explicit():
-    with pytest.raises(ValueError, match="explicit"):
-        CumulantSpec.semicircular().scaled(2)
 
 
 def test_parse_rational_valid_and_invalid():
@@ -394,7 +381,7 @@ def test_anticommutator_scaling_is_degree_n():
     side carries exactly n of the 2n elements, one endpoint per edge."""
     a, b = seeded_pairs(1, seed=SEED + 5)[0]
     for t in (2, Fraction(1, 2), -3):
-        ta = a.scaled(t)
+        ta = CumulantSpec.explicit([v * t**j for j, v in enumerate(a.values, start=1)])
         for n in range(1, 5):
             assert anticommutator_cumulant(ta, b, n) == t**n * anticommutator_cumulant(
                 a, b, n
@@ -646,12 +633,12 @@ def test_quadratic_argument_validation():
 
 
 def test_rate_polynomial_frozen_at_order_four():
-    assert free_poisson_anticommutator_polynomial(4) == [224, 82, 4]
+    assert [2 * c for c in level_counts(8)] == [224, 82, 4]
 
 
 def test_rate_polynomial_shape():
     for n in range(1, 7):
-        coeffs = free_poisson_anticommutator_polynomial(n)
+        coeffs = [2 * c for c in level_counts(2 * n)]
         assert len(coeffs) == n // 2 + 1
         assert coeffs[0] == 2**n * catalan(n)
         assert all(c > 0 for c in coeffs)
@@ -661,7 +648,7 @@ def test_rate_polynomial_evaluates_to_the_cumulant():
     """Sum of d_r rate^(n+1-r) reproduces kappa_n(ab + ba) for equal-rate
     free Poisson pairs, and at rate one it is twice the family size."""
     for n in range(1, 5):
-        coeffs = free_poisson_anticommutator_polynomial(n)
+        coeffs = [2 * c for c in level_counts(2 * n)]
         assert sum(coeffs) == 2 * sum(level_counts(2 * n))
         for lam in (Fraction(1), Fraction(3), Fraction(5, 2)):
             spec = CumulantSpec.free_poisson(lam)

@@ -185,7 +185,9 @@ def test_product_matches_the_s_transform(seed):
         )
         for _ in range(2)
     )
-    r_a, r_b = (r_m_transfer(spec, 20).R.comp_inverse() for spec in (a, b))
+    r_a, r_b = (
+        r_m_transfer([spec.kappa(j) for j in range(1, 21)], 20).R.comp_inverse() for spec in (a, b)
+    )
     s_ab = (r_a * r_b).shift_down(1)
     kappas = dp_cumulants((a, b), PRODUCT_WEIGHTS, 19)
     assert r_m_transfer(kappas, 19).R.comp_inverse() == s_ab

@@ -25,6 +25,7 @@ from freecactus import (
     join,
     kreweras,
     level_counts,
+    refines,
     restrict,
     x_membership,
     y_level_counts,
@@ -63,7 +64,6 @@ def test_canonical_form_and_equality():
     assert p == Partition([(5,), (1, 3), (6, 4, 2)])
     assert len(p) == 3
     assert p.ground_size == 6
-    assert p.block_containing(4) == (2, 4, 6)
     assert p.block_sizes() == (2, 3, 1)
     assert hash(p) == hash(Partition([[1, 3], [2, 4, 6], [5]]))
 
@@ -96,7 +96,7 @@ def test_json_form():
     p = Partition.from_text("1 3|2|4 5")
     obj = p.to_json_obj()
     assert obj == [[1, 3], [2], [4, 5]]
-    assert Partition.from_json_obj(obj) == p
+    assert Partition(obj) == p
 
 
 @st.composite
@@ -112,7 +112,7 @@ def set_partition_strategy(draw):
 @settings(max_examples=100)
 def test_serialization_roundtrips(p):
     assert Partition.from_text(p.to_text()) == p
-    assert Partition.from_json_obj(p.to_json_obj()) == p
+    assert Partition(p.to_json_obj()) == p
 
 
 # -------------------------------------------------------------- enumeration
@@ -296,6 +296,21 @@ def test_join_is_the_finest_common_coarsening(m):
                     q.blocks, c.blocks
                 ):
                     assert bruteforce.refines(j.blocks, c.blocks)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_refines_matches_the_definition_on_nc(m):
+    # q is coarser than p exactly when joining p into q changes nothing.
+    nc = list(enumerate_nc(m))
+    for p in nc:
+        for q in nc:
+            got = refines(p, q)
+            assert got == bruteforce.refines(p.blocks, q.blocks) == (join(p, q) == q)
+
+
+def test_refines_needs_equal_ground_sets():
+    with pytest.raises(ValueError, match="refines needs equal ground sets, got 3 and 4"):
+        refines(Partition.singletons(3), Partition.whole(4))
 
 
 def _bfs_components(size, pairs):

@@ -91,7 +91,7 @@ def test_from_coefficients_pads_and_rejects_overflow():
 
 
 def test_named_constructors():
-    assert TruncatedSeries.zero(3).coeffs == (0, 0, 0, 0)
+    assert TruncatedSeries.constant(0, 3).coeffs == (0, 0, 0, 0)
     assert TruncatedSeries.constant(Fraction(1, 2), 2).coeffs == (Fraction(1, 2), 0, 0)
     assert TruncatedSeries.identity(3).coeffs == (0, 1, 0, 0)
     with pytest.raises(ValueError, match="order at least 1"):
@@ -113,8 +113,8 @@ def test_truncate_never_extends():
 
 
 def test_equality_is_structural():
-    assert TruncatedSeries.zero(3) == series([], order=3)
-    assert TruncatedSeries.zero(3) != TruncatedSeries.zero(2)
+    assert TruncatedSeries.constant(0, 3) == series([], order=3)
+    assert TruncatedSeries.constant(0, 3) != TruncatedSeries.constant(0, 2)
 
 
 def test_json_form():
@@ -196,14 +196,6 @@ def test_monomial_products_make_no_convolution(monkeypatch):
     assert len(calls) == 41
 
 
-def test_power():
-    x = TruncatedSeries.identity(4)
-    assert ((1 + x) ** 3).coeffs == (1, 3, 3, 1, 0)
-    assert (x**0).coeffs == (1, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        x**-1
-
-
 def test_division_inverts_multiplication():
     rng = random.Random(SEED)
     f = random_series(rng, 6, constant=Fraction(1, 2))
@@ -238,7 +230,7 @@ def test_compose_polynomial_case():
 
 def test_compose_with_zero_series_is_the_constant():
     f = series([7, 3, 5], order=2)
-    assert f.compose(TruncatedSeries.zero(2)) == TruncatedSeries.constant(7, 2)
+    assert f.compose(TruncatedSeries.constant(0, 2)) == TruncatedSeries.constant(7, 2)
 
 
 def test_compose_rejects_inner_constant():
@@ -412,7 +404,7 @@ def test_equal_series_are_equal_and_hash_equal():
     half = series([Fraction(1, 2), Fraction(1, 4)])
     assert half + half == series([1, Fraction(1, 2)])
     assert hash(half + half) == hash(series([1, Fraction(1, 2)]))
-    assert half - half == half * 0 == TruncatedSeries.zero(1)
+    assert half - half == half * 0 == TruncatedSeries.constant(0, 1)
     assert len({left, right, half, half * 2 - half}) == 2
 
 
@@ -731,7 +723,7 @@ def test_r_m_transfer_series_content():
     rm = r_m_transfer(NU_CUMULANTS, 9)
     assert list(rm.R.coeffs) == [0] + NU_CUMULANTS
     assert list(rm.M.coeffs) == [0] + NU_MOMENTS
-    rm_spec = r_m_transfer(CumulantSpec.free_poisson(1), 5)
+    rm_spec = r_m_transfer([1] * 5, 5)
     assert list(rm_spec.M.coeffs[1:]) == [1, 2, 5, 14, 42]
 
 
@@ -742,7 +734,7 @@ def test_r_m_transfer_inverse_identity_at_order_eight():
 
 
 def test_r_m_transfer_semicircular():
-    rm = r_m_transfer(CumulantSpec.semicircular(), 6)
+    rm = r_m_transfer([0, 1, 0, 0, 0, 0], 6)
     assert rm.R == series([0, 0, 1], order=6)
     assert list(rm.M.coeffs) == [0, 0, 1, 0, 2, 0, 5]
     with pytest.raises(ValueError, match="c_1"):

@@ -101,6 +101,22 @@ def test_rate_polynomial_catches_a_wrong_closed_level_sum(monkeypatch):
     assert summary["failures"] == ["formulas.rate_polynomial"]
 
 
+def test_rate_polynomial_catches_a_wrong_odd_level_sum(monkeypatch):
+    # Odd ground sets carry no rate polynomial; only the level scan holds them.
+    closed = verify.y_level_counts
+
+    def odd_top_level_off(m):
+        levels = closed(m)
+        if m % 2:
+            levels[-1] += 1
+        return levels
+
+    monkeypatch.setattr(verify, "y_level_counts", odd_top_level_off)
+    summary = run_suite("formulas")
+    assert [c["name"] for c in summary["checks"]] == PINNED["formulas"]
+    assert summary["failures"] == ["formulas.rate_polynomial"]
+
+
 def test_class_sizes_catches_a_class_yielded_twice(monkeypatch):
     # A duplicate would collapse into one key of the signature table.
     generate = cactus_mod.enumerate_oriented_cacti
