@@ -34,17 +34,15 @@ cover), the blocks and the cycles of an edge subset, is answered by
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from freecactus.errors import check_cap
-from freecactus.partitions import DEFAULT_ENUMERATION_CAP, Partition, union_find_roots
+from freecactus.partitions import DEFAULT_ENUMERATION_CAP, Frozen, Partition, union_find_roots
 
 Signature = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class BlockMultigraph:
+class BlockMultigraph(NamedTuple):
     """The block multigraph of a partition of [2n].
 
     ``edges[k]`` is the ordered endpoint pair of edge k+1; ``vertex_degrees``
@@ -64,8 +62,7 @@ class CactusValidation(NamedTuple):
     simple_cycle_count: int
 
 
-@dataclass(frozen=True)
-class OrientedCactus:
+class OrientedCactus(Frozen):
     """An oriented cactus class, held as its canonical outercycle.
 
     ``signature`` lists the walk as (vertex, edge) pairs with both ids
@@ -81,7 +78,21 @@ class OrientedCactus:
     contains vertex 0, the start of the walk.
     """
 
-    signature: Signature
+    __slots__ = ("signature",)
+
+    def __init__(self, signature: Signature) -> None:
+        object.__setattr__(self, "signature", signature)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.signature == other.signature
+
+    def __hash__(self) -> int:
+        return hash((self.signature,))
+
+    def __repr__(self) -> str:
+        return f"OrientedCactus(signature={self.signature!r})"
 
     @property
     def edge_rigidity(self) -> tuple[bool, ...]:
@@ -373,14 +384,27 @@ def enumerate_oriented_cacti(
     return ClassStream(n, bipartite_only)
 
 
-@dataclass(frozen=True)
-class ClassStream:
+class ClassStream(Frozen):
     """The classes of ``enumerate_oriented_cacti``, which checks the cap, as
     a stream.  Each iteration runs the depth-first search afresh, with its
     own walk, and ``len`` counts one run; the stream keeps no class it yields."""
 
-    n: int
-    bipartite_only: bool
+    __slots__ = ("n", "bipartite_only")
+
+    def __init__(self, n: int, bipartite_only: bool) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bipartite_only", bipartite_only)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.bipartite_only) == (other.n, other.bipartite_only)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bipartite_only))
+
+    def __repr__(self) -> str:
+        return f"ClassStream(n={self.n!r}, bipartite_only={self.bipartite_only!r})"
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -55,6 +54,7 @@ from freecactus.cactus import (
 )
 from freecactus.errors import check_cap
 from freecactus.partitions import (
+    Frozen,
     enumerate_connected,
     enumerate_nc,
     enumerate_y,
@@ -81,8 +81,7 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class CumulantSpec:
+class CumulantSpec(Frozen):
     """The free-cumulant sequence of one variable.
 
     Three kinds: semicircular (kappa_2 = 1, everything else 0), free
@@ -90,10 +89,34 @@ class CumulantSpec:
     finite list, zero beyond its end.
     """
 
-    kind: str
-    rate: Fraction | None = None
-    values: tuple[Fraction, ...] | None = None
-    name: str = ""
+    __slots__ = ("kind", "rate", "values", "name")
+
+    def __init__(
+        self,
+        kind: str,
+        rate: Fraction | None = None,
+        values: tuple[Fraction, ...] | None = None,
+        name: str = "",
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = (self.kind, self.rate, self.values, self.name)
+        return mine == (other.kind, other.rate, other.values, other.name)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.rate, self.values, self.name))
+
+    def __repr__(self) -> str:
+        return (
+            f"CumulantSpec(kind={self.kind!r}, rate={self.rate!r}, "
+            f"values={self.values!r}, name={self.name!r})"
+        )
 
     @classmethod
     def semicircular(cls) -> "CumulantSpec":
@@ -150,23 +173,33 @@ def parse_spec(text: str) -> CumulantSpec:
     )
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
+class WeightMatrix(Frozen):
     """A square k x k matrix of exact rationals: w[c][d] weighs the word
     a_c a_d, so row and column c belong to the c-th variable.  Only the
     cactus routes of ``quadratic_form_cumulant`` need it symmetric."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        k = len(self.entries)
+    def __init__(self, entries) -> None:
+        k = len(entries)
         if k < 1:
             raise ValueError("weight matrix must be at least 1x1")
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
         for i, row in enumerate(rows):
             if len(row) != k:
                 raise ValueError(f"weight matrix row {i} has length {len(row)}, not {k}")
+        object.__setattr__(self, "entries", rows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"WeightMatrix(entries={self.entries!r})"
 
     @property
     def k(self) -> int:

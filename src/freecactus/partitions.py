@@ -29,6 +29,20 @@ from freecactus.errors import check_cap
 DEFAULT_ENUMERATION_CAP = 16
 
 
+class Frozen:
+    """Base of the value classes held in ``__slots__``: ``__init__`` sets each
+    slot once through ``object.__setattr__``, and later assignment or
+    deletion raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
 def catalan(n: int) -> int:
     """The n-th Catalan number, |NC(n)|."""
     if n < 0:

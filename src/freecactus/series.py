@@ -20,7 +20,6 @@ the degree-six polynomial of the Cauchy transform."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -31,6 +30,7 @@ from freecactus.cumulants import (
     lift,
     moments_from_cumulants,
 )
+from freecactus.partitions import Frozen
 
 DEFAULT_SERIES_ORDER = 12
 
@@ -42,8 +42,7 @@ def _trimmed(nums: tuple[int, ...], n: int) -> tuple[int, ...]:
     return nums[: n + 1]
 
 
-@dataclass(frozen=True, init=False)
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """A power series known exactly up to and including z^order.
 
     It is held as int ``numerators`` over one positive ``denominator`` in
@@ -52,9 +51,7 @@ class TruncatedSeries:
     and hashing are those of the coefficients.  ``coeffs`` and indexing
     hand the coefficients out as ``Fraction``s."""
 
-    order: int
-    numerators: tuple[int, ...]
-    denominator: int
+    __slots__ = ("order", "numerators", "denominator")
 
     def __init__(self, order: int, coeffs) -> None:
         if order < 0:
@@ -83,6 +80,21 @@ class TruncatedSeries:
         series = cls.__new__(cls)
         series._store(tuple(nums), den)
         return series
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = (self.order, self.numerators, self.denominator)
+        return mine == (other.order, other.numerators, other.denominator)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.numerators, self.denominator))
+
+    def __repr__(self) -> str:
+        return (
+            f"TruncatedSeries(order={self.order!r}, numerators={self.numerators!r}, "
+            f"denominator={self.denominator!r})"
+        )
 
     # ------------------------------------------------------- constructors
 
@@ -450,8 +462,7 @@ def free_poisson_pair_cumulants(n_max: int) -> list[Fraction]:
 # --------------------------------------------------- functional equations
 
 
-@dataclass(frozen=True)
-class FunctionalEquationReport:
+class FunctionalEquationReport(NamedTuple):
     """Residual series for the four identities tying A and B together.
     Every residual must be the zero series for an honest counting pair."""
 

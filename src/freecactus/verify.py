@@ -283,6 +283,8 @@ def _run_check(name: str, check, run: _Run) -> dict:
         return {"name": name, "pass": True, **({"detail": detail} if detail else {})}
     except AssertionError as exc:
         return {"name": name, "pass": False, "detail": str(exc) or "assertion failed"}
+    except Exception as exc:  # a check that crashes fails alone; the rest still run
+        return {"name": name, "pass": False, "detail": f"{type(exc).__name__}: {exc}"}
 
 
 def run_suite(suite: str = "all", seed: int = 1729) -> dict:

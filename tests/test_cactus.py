@@ -5,7 +5,7 @@ of [12]: its graph has six vertices, four flexible edges forming a tree
 part and one parallel pair forming the single simple cycle.  All its
 numbers below were derived by hand from the walk."""
 
-import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +36,14 @@ from freecactus.cactus import (
     is_connected,
     validate_cactus,
 )
+from freecactus.cumulants import (
+    ANTICOMMUTATOR_WEIGHTS,
+    PRODUCT_WEIGHTS,
+    CumulantSpec,
+    WeightMatrix,
+    parse_spec,
+)
+from freecactus.series import FunctionalEquationReport, TruncatedSeries
 
 WORKED = Partition.from_text("1 7|2 4 5|3|6|8 9 12|10 11")
 
@@ -342,12 +350,85 @@ LOOP = ((0, 0),)
 
 
 def test_oriented_cactus_is_its_signature():
-    assert [f.name for f in dataclasses.fields(OrientedCactus)] == ["signature"]
+    assert OrientedCactus.__slots__ == ("signature",)
     star = canonical_outercycle(Partition.from_text("1 3|2|4"))
     assert star == OrientedCactus(STAR)
     assert hash(star) == hash(OrientedCactus(STAR))
     assert star != OrientedCactus(PATH)
     assert canonical_outercycle(Partition.from_text("1 4|2 3")) == OrientedCactus(DOUBLE)
+
+
+# Each value class: two routes to one value, a different value, the repr
+# and a field.  Values are compared, hashed and printed by their fields,
+# and no field can be set or deleted once built.
+VALUES = {
+    "BlockMultigraph": (
+        lambda: build_graph(Partition.from_text("1 3|2|4")),
+        lambda: BlockMultigraph(3, ((0, 1), (0, 2)), (2, 1, 1)),
+        lambda: build_graph(Partition.from_text("1 4|2 3")),
+        "BlockMultigraph(vertex_count=3, edges=((0, 1), (0, 2)), vertex_degrees=(2, 1, 1))",
+        "edges",
+    ),
+    "OrientedCactus": (
+        lambda: canonical_outercycle(Partition.from_text("1 3|2|4")),
+        lambda: OrientedCactus(STAR),
+        lambda: OrientedCactus(PATH),
+        "OrientedCactus(signature=((0, 0), (1, 0), (0, 1), (2, 1)))",
+        "signature",
+    ),
+    "ClassStream": (
+        lambda: enumerate_oriented_cacti(3),
+        lambda: cactus_mod.ClassStream(3, False),
+        lambda: enumerate_oriented_cacti(3, bipartite_only=True),
+        "ClassStream(n=3, bipartite_only=False)",
+        "n",
+    ),
+    "CumulantSpec": (
+        lambda: parse_spec("cumulants:[1,1/2]"),
+        lambda: CumulantSpec.explicit([1, Fraction(1, 2)]),
+        lambda: parse_spec("cumulants:[1,1/3]"),
+        "CumulantSpec(kind='explicit', rate=None, values=(Fraction(1, 1), Fraction(1, 2)), "
+        "name='cumulants:[1,1/2]')",
+        "values",
+    ),
+    "WeightMatrix": (
+        lambda: WeightMatrix.from_json_obj([["0", "1"], ["1", "0"]]),
+        lambda: ANTICOMMUTATOR_WEIGHTS,
+        lambda: PRODUCT_WEIGHTS,
+        "WeightMatrix(entries=((Fraction(0, 1), Fraction(1, 1)), (Fraction(1, 1), Fraction(0, 1))))",
+        "entries",
+    ),
+    "TruncatedSeries": (
+        lambda: TruncatedSeries(2, [0, 1, "1/2"]),
+        lambda: TruncatedSeries.from_coefficients([0, 2, 1]) * Fraction(1, 2),
+        lambda: TruncatedSeries(2, [0, 1, "1/3"]),
+        "TruncatedSeries(order=2, numerators=(0, 2, 1), denominator=2)",
+        "numerators",
+    ),
+    "FunctionalEquationReport": (
+        lambda: FunctionalEquationReport((("q", TruncatedSeries(1, [0, 1])),)),
+        lambda: FunctionalEquationReport((("q", TruncatedSeries.identity(1)),)),
+        lambda: FunctionalEquationReport((("q", TruncatedSeries(1, [0, 0])),)),
+        "FunctionalEquationReport(residuals="
+        "(('q', TruncatedSeries(order=1, numerators=(0, 1), denominator=1)),))",
+        "residuals",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_value_classes_compare_hash_and_print_by_their_fields(name):
+    build, same, other, text, field = VALUES[name]
+    value = build()
+    assert type(value).__name__ == name
+    assert value == same() and hash(value) == hash(same())
+    assert value != other()
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(other(), field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert value == same()
 
 
 @pytest.mark.parametrize(

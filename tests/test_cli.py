@@ -902,6 +902,26 @@ def test_a_closed_stdout_exits_141_in_silence():
     assert err == b""
 
 
+SET_UP = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import freecactus.cli
+freecactus.cli.build_parser()
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_set_up_loads_neither_dataclasses_nor_inspect():
+    # Every invocation pays for what importing the CLI loads, before its
+    # request runs; -S keeps site .pth files out of the module list.
+    src = str(Path(freecactus.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", SET_UP, src], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_installed_entry_point_runs():
     exe = shutil.which("freecactus")
     assert exe is not None, "console script not installed"

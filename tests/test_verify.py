@@ -117,6 +117,24 @@ def test_rate_polynomial_catches_a_wrong_odd_level_sum(monkeypatch):
     assert summary["failures"] == ["formulas.rate_polynomial"]
 
 
+def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
+    # Any exception is that check's failure, with its type in the detail;
+    # the other checks still run and the request prints its summary.
+    def no_level_sums(m):
+        raise ValueError("no level sums")
+
+    monkeypatch.setattr(verify, "y_level_counts", no_level_sums)
+    summary = run_suite("formulas")
+    assert [c["name"] for c in summary["checks"]] == PINNED["formulas"]
+    assert summary["failures"] == ["formulas.rate_polynomial"]
+    (check,) = [c for c in summary["checks"] if not c["pass"]]
+    assert check["detail"] == "ValueError: no level sums"
+    assert main(["verify", "--suite", "all"]) == 1
+    printed = json.loads(capsys.readouterr().out)
+    assert (printed["passed"], printed["failed"]) == (14, 1)
+    assert printed["failures"] == ["formulas.rate_polynomial"]
+
+
 def test_class_sizes_catches_a_class_yielded_twice(monkeypatch):
     # A duplicate would collapse into one key of the signature table.
     generate = cactus_mod.enumerate_oriented_cacti
