@@ -83,17 +83,6 @@ class OrientedCactus(Frozen):
     def __init__(self, signature: Signature) -> None:
         object.__setattr__(self, "signature", signature)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.signature == other.signature
-
-    def __hash__(self) -> int:
-        return hash((self.signature,))
-
-    def __repr__(self) -> str:
-        return f"OrientedCactus(signature={self.signature!r})"
-
     @property
     def edge_rigidity(self) -> tuple[bool, ...]:
         visits = Counter(e for _, e in self.signature)
@@ -394,17 +383,6 @@ class ClassStream(Frozen):
     def __init__(self, n: int, bipartite_only: bool) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bipartite_only", bipartite_only)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.bipartite_only) == (other.n, other.bipartite_only)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bipartite_only))
-
-    def __repr__(self) -> str:
-        return f"ClassStream(n={self.n!r}, bipartite_only={self.bipartite_only!r})"
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

@@ -233,7 +233,10 @@ def _cumulant_problem(args):
     if args.target == "quadratic":
         specs = tuple(parse_spec(text) for text in args.specs)
         with open(args.weights, "r", encoding="utf-8") as handle:
-            weights = WeightMatrix.from_json_obj(json.load(handle))
+            try:
+                weights = WeightMatrix.from_json_obj(json.load(handle))
+            except ValueError as exc:  # json.JSONDecodeError is one
+                raise ValueError(f"weights file {args.weights}: {exc}") from exc
         paper = {
             route: lambda n, route=route: quadratic_form_cumulant(
                 specs, weights, n, route=route, cap=args.cap

@@ -103,21 +103,6 @@ class CumulantSpec(Frozen):
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "name", name)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        mine = (self.kind, self.rate, self.values, self.name)
-        return mine == (other.kind, other.rate, other.values, other.name)
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.rate, self.values, self.name))
-
-    def __repr__(self) -> str:
-        return (
-            f"CumulantSpec(kind={self.kind!r}, rate={self.rate!r}, "
-            f"values={self.values!r}, name={self.name!r})"
-        )
-
     @classmethod
     def semicircular(cls) -> "CumulantSpec":
         return cls(kind="semicircular", name="semicircular")
@@ -189,17 +174,6 @@ class WeightMatrix(Frozen):
             if len(row) != k:
                 raise ValueError(f"weight matrix row {i} has length {len(row)}, not {k}")
         object.__setattr__(self, "entries", rows)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"WeightMatrix(entries={self.entries!r})"
 
     @property
     def k(self) -> int:

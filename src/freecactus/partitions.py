@@ -30,9 +30,13 @@ DEFAULT_ENUMERATION_CAP = 16
 
 
 class Frozen:
-    """Base of the value classes held in ``__slots__``: ``__init__`` sets each
-    slot once through ``object.__setattr__``, and later assignment or
-    deletion raises ``AttributeError``."""
+    """Base of the value classes held in ``__slots__``, and the one place
+    their value semantics live.  A subclass's ``__init__`` sets each slot once
+    through ``object.__setattr__``; later assignment or deletion raises
+    ``AttributeError``.  The fields are the subclass's slots, in slot order:
+    two values are equal iff they are of the same class with equal fields,
+    the hash is that of the field tuple, ``repr`` prints ``Name(field=..)``,
+    and copy and pickle carry the field tuple as the state."""
 
     __slots__ = ()
 
@@ -41,6 +45,25 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __hash__(self) -> int:
+        return hash(self.__getstate__())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def catalan(n: int) -> int:

@@ -81,21 +81,6 @@ class TruncatedSeries(Frozen):
         series._store(tuple(nums), den)
         return series
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        mine = (self.order, self.numerators, self.denominator)
-        return mine == (other.order, other.numerators, other.denominator)
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.numerators, self.denominator))
-
-    def __repr__(self) -> str:
-        return (
-            f"TruncatedSeries(order={self.order!r}, numerators={self.numerators!r}, "
-            f"denominator={self.denominator!r})"
-        )
-
     # ------------------------------------------------------- constructors
 
     @classmethod

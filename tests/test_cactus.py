@@ -5,6 +5,8 @@ of [12]: its graph has six vertices, four flexible edges forming a tree
 part and one parallel pair forming the single simple cycle.  All its
 numbers below were derived by hand from the walk."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -424,6 +426,11 @@ def test_value_classes_compare_hash_and_print_by_their_fields(name):
     assert value == same() and hash(value) == hash(same())
     assert value != other()
     assert repr(value) == text
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copies.append(pickle.loads(pickle.dumps(value, protocol)))
+    for twin in copies:
+        assert type(twin) is type(value) and twin == value
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(other(), field))
     with pytest.raises(AttributeError):

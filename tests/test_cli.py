@@ -880,6 +880,20 @@ def test_missing_weights_file_exits_two(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "Expecting value"), ('{"w": [["1"]]}', "weight matrix JSON must be an array of arrays")],
+    ids=["empty", "object"],
+)
+def test_a_malformed_weights_file_is_named(capsys, tmp_path, text, message):
+    path = tmp_path / "weights.json"
+    path.write_text(text)
+    argv = ("cumulants", "quadratic", "--specs", "semicircular", "--weights", str(path))
+    code, out, err = run_cli(capsys, *argv, "--n", "1")
+    assert (code, out) == (2, "")
+    assert f"error: weights file {path}: {message}" in err
+
+
 # ------------------------------------------------------------- entry point
 
 
