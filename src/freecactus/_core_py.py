@@ -128,12 +128,10 @@ def y_level_histogram(m: int) -> list[int]:
     return hist
 
 
-def word_profile_counts(
-    m: int, colors: tuple[int, ...]
-) -> dict[tuple[tuple[int, int], ...], int]:
+def word_profile_counts(colors: tuple[int, ...]) -> dict[tuple[tuple[int, int], ...], int]:
     """Group the monochromatic non-crossing partitions of a colored word.
 
-    ``colors`` assigns each position 1..m a color.  A partition is kept
+    ``colors`` colors positions 1..m, m = len(colors).  A partition is kept
     when every block is single-colored (it refines the kernel of the color
     word).  Rather than yielding each survivor, returns a dict mapping
     profile -> count, where a profile is the sorted tuple of (color, size)
@@ -145,10 +143,7 @@ def word_profile_counts(
     vanish for some spec are still counted, and the caller multiplies them
     by zero.  The kernel stays value-agnostic.
     """
-    if m < 0:
-        raise ValueError("word length must be non-negative")
-    if len(colors) != m:
-        raise ValueError("colors must assign one color per position")
+    m = len(colors)
     out: dict[tuple[tuple[int, int], ...], int] = {}
     stack: list[list[int]] = []  # open blocks as [color, size]
     finished: list[tuple[int, int]] = []

@@ -299,7 +299,15 @@ def cmd_series(args) -> int:
         return 0
     if args.kind == "check":
         report = check_functional_equations(*y_series(order))
-        _emit_object(report.to_json_obj(), args.format)
+        if args.format == "json":
+            print(json.dumps(report.to_json_obj()))
+        else:
+            rows = [
+                {"equation": name, "pass": e["pass"],
+                 "first_nonzero_order": e.get("first_nonzero_order"), "residual": e["residual"]}
+                for name, e in report.to_json_obj().items()
+            ]
+            _emit_records(rows, "table")
         return 0 if report.all_pass else 1
     if args.kind == "minverse":
         _emit_value(minverse_closed_form(order).to_json_obj(), args.format)

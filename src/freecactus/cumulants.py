@@ -265,22 +265,20 @@ def _moment_cumulant_walk(known: Sequence, from_moments: bool) -> list:
     return kappas if from_moments else moments[1:]
 
 
-def moments_from_cumulants(spec: CumulantSpec, n_max: int) -> list[Fraction]:
-    """Moments m_1..m_{n_max} of a distribution given by its cumulants,
-    through M(z) = 1 + sum over k of kappa_k z^k M(z)^k.
+def moments_from_cumulants(kappas: Sequence) -> list[Fraction]:
+    """Moments m_1..m_N of a distribution from its cumulants
+    kappa_1..kappa_N, through M(z) = 1 + sum over k of kappa_k z^k M(z)^k.
+    Exact, and mutually inverse with ``cumulants_from_moments``.
 
     This equals the sum over non-crossing partitions of block cumulant
     products; the tests check that equality against a literal
     enumeration.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    return _scaled_walk([spec.kappa(n) for n in range(1, n_max + 1)], False)
+    return _scaled_walk([Fraction(k) for k in kappas], False)
 
 
 def cumulants_from_moments(moments: Sequence) -> list[Fraction]:
-    """Invert the moment recursion: cumulants kappa_1..kappa_N from
-    moments m_1..m_N.  Exact, and mutually inverse with
+    """Cumulants kappa_1..kappa_N from moments m_1..m_N: the inverse of
     ``moments_from_cumulants``."""
     return _scaled_walk([Fraction(m) for m in moments], True)
 
@@ -497,7 +495,7 @@ def _profiles(pattern: tuple[int, ...]):
     non-crossing partitions, for a color pattern: colors 0, 1, 2, .. by
     first occurrence.  The counts depend only on which positions share a
     color, so every word of one pattern reads one entry, its colors renamed."""
-    return _core_py.word_profile_counts(len(pattern), pattern)
+    return _core_py.word_profile_counts(pattern)
 
 
 def oracle_anticommutator_moments(

@@ -77,10 +77,11 @@ class Partition:
     """An immutable set partition of {1, .., m} in canonical form.
 
     Construction validates that the blocks are non-empty, disjoint and
-    cover {1, .., m} exactly; the canonical form is computed once.  Two
-    partitions are equal iff their canonical forms are, and instances are
-    hashable, so they can live in sets and dict keys (the enumeration
-    tests rely on that).
+    cover {1, .., m} exactly, m being the largest element; the canonical
+    form is computed once.  Two partitions are equal iff their canonical
+    forms are, and instances are hashable, so they can live in sets and
+    dict keys (the enumeration tests rely on that).  Copy and pickle
+    rebuild through the constructor, so a loaded partition is validated.
 
     ``len(p)`` is the number of blocks, written |p| in the usual lattice
     notation.
@@ -88,7 +89,7 @@ class Partition:
 
     __slots__ = ("_blocks", "_size")
 
-    def __init__(self, blocks: Iterable[Iterable[int]], ground_size: int | None = None):
+    def __init__(self, blocks: Iterable[Iterable[int]]):
         normalized = []
         seen: set[int] = set()
         count = 0
@@ -106,12 +107,12 @@ class Partition:
                 count += 1
         if count == 0:
             raise ValueError("partition of the empty set is not supported")
+        if min(seen) < 1:
+            raise ValueError(f"partition elements must be positive, got {min(seen)}")
         m = max(seen)
-        if min(seen) < 1 or count != m:
+        if count != m:
             missing = sorted(set(range(1, m + 1)) - seen)
             raise ValueError(f"blocks must cover 1..{m}; missing {missing}")
-        if ground_size is not None and ground_size != m:
-            raise ValueError(f"blocks cover 1..{m}, not 1..{ground_size}")
         normalized.sort(key=lambda b: b[0])
         self._blocks = tuple(normalized)
         self._size = m
@@ -145,6 +146,9 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({self.to_text()!r})"
+
+    def __reduce__(self):
+        return (Partition, (self._blocks,))
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self._blocks)
@@ -186,8 +190,6 @@ class PartitionClassification(NamedTuple):
 
     even: bool
     parity_preserving: bool
-    pairing: bool
-    interval: bool
 
 
 def _complement_cycles(p: Partition, forward: bool = True) -> list[list[int]]:
@@ -387,28 +389,20 @@ def interval_pairing(n: int) -> Partition:
 
 
 def classify(p: Partition) -> PartitionClassification:
-    """Structural flags of p.
+    """Structural flags of p, the two that Kreweras complementation swaps.
 
     even: every block has even size.  parity_preserving: no block mixes
-    odd and even elements.  pairing: every block has size two.  interval:
-    every block is a set of consecutive integers.
+    odd and even elements.
     """
     even = True
     parity_preserving = True
-    pairing = True
-    interval = True
     for block in p.blocks:
-        size = len(block)
-        if size % 2:
+        if len(block) % 2:
             even = False
-        if size != 2:
-            pairing = False
-        if block[-1] - block[0] + 1 != size:
-            interval = False
         parity = block[0] % 2
         if any(x % 2 != parity for x in block):
             parity_preserving = False
-    return PartitionClassification(even, parity_preserving, pairing, interval)
+    return PartitionClassification(even, parity_preserving)
 
 
 def enumerate_y(m: int, cap: int | None = None) -> Iterator[Partition]:

@@ -23,13 +23,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from freecactus.cumulants import (
-    CumulantSpec,
-    convolve,
-    format_rational,
-    lift,
-    moments_from_cumulants,
-)
+from freecactus.cumulants import convolve, format_rational, lift, moments_from_cumulants
 from freecactus.partitions import Frozen
 
 DEFAULT_SERIES_ORDER = 12
@@ -550,7 +544,7 @@ def r_m_transfer(cumulants: Sequence, order: int = DEFAULT_SERIES_ORDER) -> RMSe
     if len(kappas) < order:
         raise ValueError(f"need {order} cumulants for order {order}, got {len(kappas)}")
     kappas = kappas[:order]
-    moments = moments_from_cumulants(CumulantSpec.explicit(kappas), order)
+    moments = moments_from_cumulants(kappas)
     r = TruncatedSeries.from_coefficients([Fraction(0)] + kappas, order)
     m = TruncatedSeries.from_coefficients([Fraction(0)] + moments, order)
     return RMSeries(R=r, M=m)
@@ -572,9 +566,7 @@ def cauchy_polynomial_residual(
     if n_moments < 2:
         raise ValueError("the residual needs at least 2 moments")
     if moments is None:
-        moments = moments_from_cumulants(
-            CumulantSpec.explicit(free_poisson_pair_cumulants(n_moments)), n_moments
-        )
+        moments = moments_from_cumulants(free_poisson_pair_cumulants(n_moments))
     values = list(moments)
     if len(values) < n_moments:
         raise ValueError(

@@ -263,7 +263,7 @@ def transfer_identity(rng: random.Random) -> str:
 
 
 def cauchy_polynomial(rng: random.Random) -> str:
-    moments = moments_from_cumulants(CumulantSpec.explicit(_poisson_pair(8)), 8)
+    moments = moments_from_cumulants(_poisson_pair(8))
     residual = cauchy_polynomial_residual(8, moments)
     require(all(c == 0 for c in residual), [str(c) for c in residual])
     return "degree-six residual vanishes on 8 dp moments"

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,10 +18,12 @@ import pytest
 import freecactus
 from freecactus import _core_py, enumerate_y
 from freecactus import cactus as cactus_mod
+from freecactus import cli as cli_mod
 from freecactus import cumulants as cumulants_mod
 from freecactus.cli import _cell_text, _is_numeric_cell, build_parser, main, parse_range
 from freecactus.cumulants import ANTICOMMUTATOR_WEIGHTS, format_rational, parse_spec
 from freecactus.dp import dp_cumulants
+from freecactus.series import FunctionalEquationReport, TruncatedSeries, check_functional_equations
 
 
 def run_cli(capsys, *argv):
@@ -580,6 +583,26 @@ def test_series_check_passes(capsys):
     assert code == 0
     obj = json.loads(out)
     assert all(entry["pass"] for entry in obj.values())
+
+
+def test_series_check_table_has_one_row_per_equation(capsys, monkeypatch):
+    code, out, _err = run_cli(capsys, "series", "check", "--order", "4", "--format", "table")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["equation", "pass", "first_nonzero_order", "residual"]
+    assert lines[1].split() == ["even_from_odd", "yes", "-", "0", "0", "0", "0"]
+    assert len(lines) == 5
+
+    def broken(a, b):
+        report = check_functional_equations(a, b)
+        wrong = TruncatedSeries.from_coefficients([0, 0, Fraction(1, 2)], a.order)
+        return FunctionalEquationReport((("even_from_odd", wrong),) + report.residuals[1:])
+
+    monkeypatch.setattr(cli_mod, "check_functional_equations", broken)
+    code, out, _err = run_cli(capsys, "series", "check", "--order", "4", "--format", "table")
+    assert code == 1
+    assert out.splitlines()[1].split() == ["even_from_odd", "no", "2", "0", "0", "1/2", "0", "0"]
+    assert not any(c in out for c in "{}'")
 
 
 def test_series_minverse(capsys):

@@ -263,10 +263,8 @@ def test_rank_one_weights_match_the_square_of_a_free_sum():
     the even moments of s."""
     n = TRANSFORM_ORDER
     specs, v = transform_problem(7)
-    s = CumulantSpec.explicit(
-        [sum(x**r * spec.kappa(r) for x, spec in zip(v, specs)) for r in range(1, 2 * n + 1)]
-    )
-    want = cumulants_from_moments(moments_from_cumulants(s, 2 * n)[1::2])
+    kappas = [sum(x**r * spec.kappa(r) for x, spec in zip(v, specs)) for r in range(1, 2 * n + 1)]
+    want = cumulants_from_moments(moments_from_cumulants(kappas)[1::2])
     assert want[-1]
     assert dp_cumulants(specs, WeightMatrix(tuple(tuple(x * y for y in v) for x in v)), n) == want
 
@@ -277,7 +275,10 @@ def test_diagonal_weights_match_a_free_sum_of_squares():
     the even moments of a_c."""
     n = TRANSFORM_ORDER
     specs, w = transform_problem(8)
-    squares = [cumulants_from_moments(moments_from_cumulants(spec, 2 * n)[1::2]) for spec in specs]
+    squares = [
+        cumulants_from_moments(moments_from_cumulants([spec.kappa(r) for r in range(1, 2 * n + 1)])[1::2])
+        for spec in specs
+    ]
     want = [sum(x**m * sq[m - 1] for x, sq in zip(w, squares)) for m in range(1, n + 1)]
     assert want[-1]
     weights = WeightMatrix(tuple(tuple(x if i == j else 0 for j in range(3)) for i, x in enumerate(w)))

@@ -2,7 +2,9 @@
 family and its level statistics.  Golden values are frozen; the oracles in
 bruteforce.py recompute the structural claims from definitions."""
 
+import copy
 import itertools
+import pickle
 import random
 from collections import deque
 
@@ -73,14 +75,22 @@ def test_construction_rejects_bad_input():
         Partition([[1, 2], [2, 3]])  # duplicate element
     with pytest.raises(ValueError):
         Partition([[1], [3]])  # gap
-    with pytest.raises(ValueError):
-        Partition([[0, 1]])  # not 1-based
+    for low in (0, -2):
+        with pytest.raises(ValueError, match=f"^partition elements must be positive, got {low}$"):
+            Partition([[low, 1]])
     with pytest.raises(ValueError):
         Partition([[1, 2], []])  # empty block
     with pytest.raises(ValueError):
         Partition([])
-    with pytest.raises(ValueError):
-        Partition([[1, 2]], ground_size=3)
+
+
+def test_partitions_copy_and_pickle_at_every_protocol():
+    p = Partition.from_text("1 3|2")
+    copies = [copy.copy(p), copy.deepcopy(p)]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copies.append(pickle.loads(pickle.dumps(p, protocol)))
+    for q in copies:
+        assert type(q) is Partition and q == p and q.ground_size == 3
 
 
 def test_text_form():
@@ -352,11 +362,10 @@ def test_union_find_roots_names_the_components():
 
 
 def test_classify_examples():
-    flags = classify(interval_pairing(3))
-    assert flags == (True, False, True, True)
+    assert classify(interval_pairing(3)) == (True, False)
     assert classify(Partition.from_text("1 3|2|4")).parity_preserving
     assert not classify(Partition.from_text("1 3|2|4")).even
-    assert classify(Partition.whole(4)) == (True, False, False, True)
+    assert classify(Partition.whole(4)) == (True, False)
 
 
 def test_interval_pairing():
