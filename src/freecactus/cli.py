@@ -56,7 +56,10 @@ _NUMERIC = re.compile(r"-?[0-9]+(/[0-9]+)?$")
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # not a number: refused as not positive below
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
@@ -480,10 +483,14 @@ def _validate(parser, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    # Answers print at any length: lift the int-string digit limit (3.10.7+) per request.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        _validate(parser, args)
         return args.func(args)
     except BrokenPipeError:
         # The reader left early (``| head``): silence the final flush, exit 128 + SIGPIPE.
@@ -492,9 +499,12 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -82,56 +82,45 @@ def format_rational(x: Fraction) -> str:
 
 
 class CumulantSpec(Frozen):
-    """The free-cumulant sequence of one variable.
+    """The free-cumulant sequence of one variable: kappa_r is values[r - 1]
+    while r <= len(values) and tail beyond.  Semicircular is ((0, 1), 0), free
+    Poisson ((), rate) and an explicit list (list, 0), so texts that give one
+    list and tail are one spec."""
 
-    Three kinds: semicircular (kappa_2 = 1, everything else 0), free
-    Poisson with a rate (every cumulant equals the rate), and an explicit
-    finite list, zero beyond its end.
-    """
+    __slots__ = ("values", "tail")
 
-    __slots__ = ("kind", "rate", "values", "name")
-
-    def __init__(
-        self,
-        kind: str,
-        rate: Fraction | None = None,
-        values: tuple[Fraction, ...] | None = None,
-        name: str = "",
-    ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "name", name)
+    def __init__(self, values: Sequence, tail=0) -> None:
+        object.__setattr__(self, "values", tuple(Fraction(v) for v in values))
+        object.__setattr__(self, "tail", Fraction(tail))
 
     @classmethod
     def semicircular(cls) -> "CumulantSpec":
-        return cls(kind="semicircular", name="semicircular")
+        return cls((0, 1))
 
     @classmethod
     def free_poisson(cls, rate) -> "CumulantSpec":
-        rate = Fraction(rate)
-        return cls(
-            kind="free_poisson", rate=rate, name=f"poisson:{format_rational(rate)}"
-        )
+        return cls((), rate)
 
     @classmethod
-    def explicit(cls, values, name: str = "") -> "CumulantSpec":
-        vals = tuple(Fraction(v) for v in values)
-        if not name:
-            name = "cumulants:[" + ",".join(format_rational(v) for v in vals) + "]"
-        return cls(kind="explicit", values=vals, name=name)
+    def explicit(cls, values) -> "CumulantSpec":
+        return cls(values)
 
     def kappa(self, n: int) -> Fraction:
         """The free cumulant of order n (n >= 1)."""
         if n < 1:
             raise ValueError("cumulant orders start at 1")
-        if self.kind == "semicircular":
-            return Fraction(1) if n == 2 else Fraction(0)
-        if self.kind == "free_poisson":
-            return self.rate
-        if n <= len(self.values):
-            return self.values[n - 1]
-        return Fraction(0)
+        return self.values[n - 1] if n <= len(self.values) else self.tail
+
+    @property
+    def name(self) -> str:
+        """The spec in ``parse_spec``'s grammar, which has a list or a tail, not both."""
+        if self.values and self.tail:
+            raise ValueError(f"no spec text has both a list and a tail: {self!r}")
+        if self.values == (0, 1):
+            return "semicircular"
+        if self.tail:
+            return f"poisson:{format_rational(self.tail)}"
+        return "cumulants:[" + ",".join(map(format_rational, self.values)) + "]"
 
 
 def parse_spec(text: str) -> CumulantSpec:
@@ -150,8 +139,7 @@ def parse_spec(text: str) -> CumulantSpec:
         if not (body.startswith("[") and body.endswith("]")):
             raise ValueError(f"malformed cumulant list in {text!r}")
         inner = body[1:-1].strip()
-        values = [parse_rational(tok) for tok in inner.split(",")] if inner else []
-        return CumulantSpec.explicit(values, name=text)
+        return CumulantSpec.explicit(map(parse_rational, inner.split(",")) if inner else ())
     raise ValueError(
         f"unknown distribution spec {text!r}; expected 'semicircular', "
         f"'poisson:<p/q>' or 'cumulants:[...]'"

@@ -389,8 +389,7 @@ VALUES = {
         lambda: parse_spec("cumulants:[1,1/2]"),
         lambda: CumulantSpec.explicit([1, Fraction(1, 2)]),
         lambda: parse_spec("cumulants:[1,1/3]"),
-        "CumulantSpec(kind='explicit', rate=None, values=(Fraction(1, 1), Fraction(1, 2)), "
-        "name='cumulants:[1,1/2]')",
+        "CumulantSpec(values=(Fraction(1, 1), Fraction(1, 2)), tail=Fraction(0, 1))",
         "values",
     ),
     "WeightMatrix": (

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import freecactus
-from freecactus import _core_py, enumerate_y
+from freecactus import _core_py, catalan, enumerate_y
 from freecactus import cactus as cactus_mod
 from freecactus import cli as cli_mod
 from freecactus import cumulants as cumulants_mod
@@ -760,6 +760,43 @@ def test_bad_spec_exits_two(capsys):
     )
     assert code == 2
     assert "unknown distribution spec" in err
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def test_exact_answers_print_at_any_length(capsys):
+    limit = _digit_limit()
+    code, out, err = run_cli(capsys, "count", "nc", "--m", "9000")
+    assert (code, err) == (0, "")
+    assert _digit_limit() == limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{catalan(9000)}\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_a_spec_of_any_length_is_read(capsys):
+    sevens = "7" * 5000
+    argv = ("cumulants", "anticommutator", "--a", f"cumulants:[{sevens}]", "--b", "poisson:1")
+    code, out, err = run_cli(capsys, *argv, "--n", "1")
+    assert (code, err) == (0, "")
+    # kappa_1(ab + ba) = 2 kappa_1(a) kappa_1(b), twice 77..7
+    assert json_lines(out) == [{"n": 1, "kappa": "1" + "5" * 4999 + "4"}]
+
+
+def test_a_non_integer_size_is_refused_by_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "y", "--m", "abc"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --m: expected a positive integer, got abc" in err
+    assert "_positive_int" not in err
 
 
 def test_cap_exits_three(capsys):

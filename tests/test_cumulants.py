@@ -8,8 +8,12 @@ and not a tautology.  Frozen constants were computed once through that
 oracle (or by hand at order two) and pinned."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -135,13 +139,67 @@ def test_format_rational():
 
 
 def test_parse_spec_grammar():
-    assert parse_spec("semicircular").kind == "semicircular"
+    s = parse_spec("semicircular")
+    assert s.values == (0, 1) and s.tail == 0
     p = parse_spec("poisson:7/2")
-    assert p.kind == "free_poisson" and p.rate == Fraction(7, 2)
+    assert p.values == () and p.tail == Fraction(7, 2)
     e = parse_spec("cumulants:[1, -1/2, 0]")
     assert e.values == (Fraction(1), Fraction(-1, 2), Fraction(0))
     empty = parse_spec("cumulants:[]")
     assert empty.kappa(1) == 0
+
+
+def _spellings(values):
+    """Two texts of one explicit list, with and without spaces."""
+    items = [format_rational(Fraction(v)) for v in values]
+    return "cumulants:[" + ",".join(items) + "]", "cumulants:[ " + " , ".join(items) + " ]"
+
+
+def test_a_spec_names_itself_in_the_grammar():
+    rng = random.Random(SEED)
+    texts = ["semicircular", "poisson:2/4", "poisson:0", "cumulants:[]"]
+    for length in range(8):
+        texts.extend(_spellings(random_explicit_spec(rng, length).values))
+        texts.extend(_spellings([Fraction(rng.randint(-9, 9), rng.randint(1, 9))] * length))
+    for text in texts:
+        spec = parse_spec(text)
+        assert parse_spec(spec.name) == spec, text
+    assert parse_spec("poisson:2/4").name == "poisson:1/2"
+    assert parse_spec("cumulants:[1,1]") != parse_spec("poisson:1")
+    with pytest.raises(ValueError, match="both a list and a tail"):
+        CumulantSpec((1,), 2).name
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ("cumulants:[1, 2]", "cumulants:[1,2]", " cumulants:[ 1,2/1 ] "),
+        ("semicircular", "cumulants:[0,1]", "cumulants:[0, 2/2]"),
+        ("poisson:0", "cumulants:[]", "cumulants:[ ]"),
+        ("cumulants:[2/4, 0]", "cumulants:[1/2,0]", "cumulants:[ 3/6 , -0 ]"),
+    ],
+)
+def test_two_texts_of_one_sequence_are_one_spec(texts):
+    specs = [parse_spec(text) for text in texts]
+    assert all(spec == specs[0] and hash(spec) == hash(specs[0]) for spec in specs)
+    assert len(set(specs)) == 1
+
+
+def test_a_spec_hashes_alike_in_every_process():
+    script = (
+        "from freecactus.cumulants import parse_spec; "
+        "print(hash(parse_spec('poisson:1')), hash(parse_spec('cumulants:[1,-1/2]')))"
+    )
+    src = str(Path(cumulants.__file__).resolve().parents[1])
+    outs = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1, outs
 
 
 def test_parse_spec_errors():
