@@ -145,32 +145,20 @@ def word_profile_counts(colors: tuple[int, ...]) -> dict[tuple[tuple[int, int], 
     """
     m = len(colors)
     out: dict[tuple[tuple[int, int], ...], int] = {}
-    stack: list[list[int]] = []  # open blocks as [color, size]
-    finished: list[tuple[int, int]] = []
 
-    def rec(e):
+    def rec(e, stack, finished):
+        # ``stack``: the open blocks as (color, size), innermost last.  Element e
+        # opens a block, or joins open block i of its color, closing those above i.
         if e > m:
-            prof = tuple(sorted(finished + [(c, s) for c, s in stack]))
+            prof = tuple(sorted(finished + stack))
             out[prof] = out.get(prof, 0) + 1
             return
         c = colors[e - 1]
-        stack.append([c, 1])
-        rec(e + 1)
-        stack.pop()
-        k = len(stack)
-        for i in range(k - 1, -1, -1):
-            if stack[i][0] != c:
-                continue
-            removed = stack[i + 1 :]
-            del stack[i + 1 :]
-            for col, size in removed:
-                finished.append((col, size))
-            stack[i][1] += 1
-            rec(e + 1)
-            stack[i][1] -= 1
-            if removed:
-                del finished[-len(removed) :]
-            stack.extend(removed)
+        rec(e + 1, stack + ((c, 1),), finished)
+        for i in range(len(stack) - 1, -1, -1):
+            col, size = stack[i]
+            if col == c:
+                rec(e + 1, stack[:i] + ((c, size + 1),), finished + stack[i + 1 :])
 
-    rec(1)
+    rec(1, (), ())
     return out

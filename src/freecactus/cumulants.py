@@ -307,18 +307,12 @@ def anticommutator_cumulant(
     Iterates the odd-separating partitions sigma of [2n]; pi is the
     Kreweras complement of sigma, whose block graph is then connected and
     bipartite.  At the weights of ab + ba the colored sum keeps only the
-    two colorings of the bipartition (pi', pi''), so each sigma
+    two colorings of its two sides (pi', pi''), so each sigma
     contributes the a/b block product plus the same with a and b
     exchanged.
     """
-    stream = enumerate_y(2 * n, cap=cap)
-    kappa, w, scale = integer_tables((a, b), ANTICOMMUTATOR_WEIGHTS, 2 * n)
-    total = 0
-    for sigma in stream:
-        cactus = canonical_outercycle(kreweras(sigma))
-        assert cactus.bipartition is not None, "complement of an odd-separating partition"
-        total += _colored_sum(cactus, kappa, w)
-    return Fraction(total, scale**n)
+    sized = ((1, canonical_outercycle(kreweras(sigma))) for sigma in enumerate_y(2 * n, cap=cap))
+    return _cactus_sum(sized, (a, b), ANTICOMMUTATOR_WEIGHTS, n)
 
 
 def anticommutator_cumulant_graphwise(

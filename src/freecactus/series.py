@@ -514,15 +514,10 @@ def minverse_closed_form(order: int = DEFAULT_SERIES_ORDER) -> TruncatedSeries:
     rational series; the denominator is a unit with constant term 16."""
     if order < 1:
         raise ValueError("closed form needs order at least 1")
-    # The fixed polynomials have degree up to 3; build them at least that
-    # far and cut back, so orders 1 and 2 work too.
-    full = max(order, 3)
-    radicand = TruncatedSeries.from_coefficients([4, 20, 9], full)
-    numerator = 3 * radicand.sqrt() - TruncatedSeries.from_coefficients(
-        [6, 7], full
-    )
-    denominator = TruncatedSeries.from_coefficients([16, 32, 20, 4], full)
-    return (numerator / denominator).truncate(order)
+    radicand = TruncatedSeries.from_coefficients([4, 20, 9][: order + 1], order)
+    numerator = 3 * radicand.sqrt() - TruncatedSeries.from_coefficients([6, 7], order)
+    denominator = TruncatedSeries.from_coefficients([16, 32, 20, 4][: order + 1], order)
+    return numerator / denominator
 
 
 class RMSeries(NamedTuple):

@@ -812,6 +812,22 @@ def test_profiles_are_cached_by_color_pattern(monkeypatch):
     assert got == bruteforce.quadratic_moments_per_word(specs, ones, 3)
 
 
+def test_profile_kernel_tallies_the_single_colored_partitions():
+    """The kernel against a literal tally, on every word of length at most
+    6 over at most 3 colors: each non-crossing partition of the brute-force
+    stream whose blocks are single-colored, counted by its sorted (color,
+    size) profile."""
+    for m in range(7):
+        partitions = list(bruteforce.noncrossing_partitions(m))
+        for colors in itertools.product(range(3), repeat=m):
+            want = {}
+            for blocks in partitions:
+                if all(len({colors[x - 1] for x in block}) == 1 for block in blocks):
+                    prof = tuple(sorted((colors[block[0] - 1], len(block)) for block in blocks))
+                    want[prof] = want.get(prof, 0) + 1
+            assert _core_py.word_profile_counts(colors) == want, colors
+
+
 def test_a_wrong_profile_count_fails_the_quadratic_check(monkeypatch):
     # Every oracle moment goes through _profiles, so one extra partition
     # in one profile must break the four-way agreement of verify.

@@ -9,6 +9,7 @@ whose cumulants follow from the moment-cumulant transforms alone."""
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -283,6 +284,30 @@ def test_diagonal_weights_match_a_free_sum_of_squares():
     assert want[-1]
     weights = WeightMatrix(tuple(tuple(x if i == j else 0 for j in range(3)) for i, x in enumerate(w)))
     assert dp_cumulants(specs, weights, n) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_semicircular_forms_have_the_trace_of_the_weight_powers(k):
+    """For free standard semicirculars s_c and symmetric W, kappa_n of the
+    sum of w_cd s_c s_d is tr(W^n): only kappa_2 = 1 survives, so every
+    block is a pair, and the one connected pairing of [2n] has an n-cycle
+    for its block graph, whose colored sum is the trace.  Seeded W has a
+    negative corner and, for k > 1, a zero off the diagonal."""
+    n = TRANSFORM_ORDER
+    rng = random.Random(SEED + k)
+    w = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            w[i][j] = w[j][i] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3)))
+    w[0][0] = -abs(w[0][0])
+    if k > 1:
+        w[0][-1] = w[-1][0] = Fraction(0)
+    power, want = w, []
+    for _ in range(n):
+        want.append(sum(power[i][i] for i in range(k)))
+        power = [[sum(map(mul, row, col)) for col in zip(*w)] for row in power]
+    specs = (CumulantSpec.semicircular(),) * k
+    assert dp_cumulants(specs, WeightMatrix(w), n, cap=2 * n) == want
 
 
 def test_order_beyond_the_cap_is_refused():
