@@ -197,8 +197,19 @@ def lift(values: Sequence[Fraction]) -> tuple[list[int], int]:
 def convolve(xs: Sequence[int], ys: Sequence[int], n: int) -> int:
     """The one truncated convolution: [z^n] of (sum xs_i z^i)(sum ys_j z^j).
     Each list is read only as far as it reaches and counts as zero beyond,
-    so a caller passes the coefficients computed so far and no index range."""
-    lo, hi = max(0, n + 1 - len(ys)), min(n, len(xs) - 1)
+    so a caller passes the coefficients computed so far and no index range.
+
+    A square, ``xs is ys``, pairs x_i x_(n-i) with x_(n-i) x_i: it sums
+    the terms with i < n - i once, doubles them and adds x_(n/2)^2 for even
+    n, so a full-range square takes floor(n/2) + 1 products, not n + 1."""
+    lo = max(0, n + 1 - len(ys))
+    if xs is ys:
+        half = (n - 1) // 2
+        total = 2 * sum(map(mul, xs[lo : half + 1], reversed(xs[n - half : n + 1 - lo])))
+        if n % 2 == 0 and lo <= n // 2:
+            total += xs[n // 2] ** 2
+        return total
+    hi = min(n, len(xs) - 1)
     return sum(map(mul, xs[lo : hi + 1], reversed(ys[n - hi : n + 1 - lo])))
 
 
@@ -229,8 +240,12 @@ def _moment_cumulant_walk(known: Sequence, from_moments: bool) -> list:
     ``powers[k][j]`` holds [z^j] M(z)^k.  Order n adds the antidiagonal
     k + j = n for 1 < k < n, which needs only moments below n, so one pass
     solves for m_n or kappa_n; the work is O(N^3).  ``powers[1]`` is the
-    moment list itself.  The unknown has coefficient 1, so the walk never
-    divides, and it is homogeneous: ints scaled by s^n give ints scaled so.
+    moment list itself.  An odd power is M^(k-1) M and an even one the
+    square of M^(k/2), which ``convolve`` takes at about half the products.
+    Entry j of that square reads M^(k/2) only up to index j, and
+    k/2 + j < n, so an earlier order has filled it and the walk stays
+    online.  The unknown has coefficient 1, so the walk never divides, and
+    it is homogeneous: ints scaled by s^n give ints scaled so.
     """
     moments = [1]
     kappas = []
@@ -240,7 +255,8 @@ def _moment_cumulant_walk(known: Sequence, from_moments: bool) -> list:
         for k in range(1, n):
             j = n - k
             if k > 1:
-                powers[k].append(convolve(powers[k - 1], moments, j))
+                xs, ys = (powers[k - 1], moments) if k % 2 else (powers[k // 2],) * 2
+                powers[k].append(convolve(xs, ys, j))
             lower += kappas[k - 1] * powers[k][j]
         if from_moments:
             moments.append(value)

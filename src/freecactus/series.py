@@ -187,7 +187,9 @@ class TruncatedSeries(Frozen):
         if other is None:
             return NotImplemented
         n, den = min(self.order, other.order), self.denominator * other.denominator
-        xs, ys = _trimmed(self.numerators, n), _trimmed(other.numerators, n)
+        xs = _trimmed(self.numerators, n)
+        # A square passes one list, so ``convolve`` takes its symmetric path.
+        ys = xs if other is self else _trimmed(other.numerators, n)
         if not any(ys[:-1]):
             xs, ys = ys, xs
         if xs and not any(xs[:-1]):
@@ -486,11 +488,11 @@ def check_functional_equations(
     a1 = a + 1
     a1_2 = a1 * a1
     a1_3 = a1_2 * a1
-    a1_4 = a1_3 * a1
+    a1_4 = a1_2 * a1_2
     even_quartic = (
         4 * a1_4 * x * x + 7 * a1_3 * x - 4 * a1_2 * x - 2 * a1_2 + a1 + 1
     )
-    odd_quartic = b * (1 - 2 * b) * (1 - b) * (1 + b) - x
+    odd_quartic = b * (1 - 2 * b) * (one - b2) - x
     return FunctionalEquationReport(
         (
             ("even_from_odd", even_from_odd),
@@ -569,9 +571,12 @@ def cauchy_polynomial_residual(
         )
     top = n_moments + 5
     g = TruncatedSeries.from_coefficients([0, 1] + values[:n_moments], top)
-    powers = {1: g}
-    for j in range(2, 7):
-        powers[j] = powers[j - 1] * g
+    # Even powers are squares, which ``convolve`` takes at half the products.
+    powers = {1: g, 2: g * g}
+    powers[3] = powers[2] * g
+    powers[4] = powers[2] * powers[2]
+    powers[5] = powers[4] * g
+    powers[6] = powers[3] * powers[3]
 
     terms = (
         (2, 4, 6),

@@ -2,12 +2,14 @@
 
 ``SUITES`` maps each suite to its checks in run order; a check is named
 suite.function.  A check takes the run, a seeded ``random.Random`` that
-also holds the block-graph table of the cactus suite, and returns what it
+also holds the block-graph table of the graph checks, and returns what it
 covered, or fails through ``require``, which ``python -O`` does not strip
 as it does ``assert``.  Only the formulas suite draws from the generator.
 The table builds each NC(2n) block graph, n <= 4, once per run, on first
-use; it dies with the run, so a reference patched between two runs is
-seen by the second.  Every check has fixed sizes inside the default caps.
+use, for the complement check and the cactus suite alike; its column of
+cactus validations is built when a cactus check first reads it.  Both die
+with the run, so a reference patched between two runs is seen by the
+second.  Every check has fixed sizes inside the default caps.
 The interval DP is the reference for every paper formula and series
 identity; the two routes_agree checks tie the DP itself to the partition
 route, the graph route and the word-expansion oracle, and the series
@@ -39,7 +41,6 @@ from freecactus.cumulants import (
 )
 from freecactus.dp import dp_cumulants
 from freecactus.partitions import (
-    Partition,
     catalan,
     classify,
     enumerate_connected,
@@ -64,20 +65,27 @@ from freecactus.series import (
 
 class _Run(random.Random):
     """One run of the checks: the seeded generator, and the block-graph
-    table the cactus checks share, built on first use."""
+    table the graph checks share, each column built on first use."""
 
     @cached_property
-    def block_graphs(self) -> dict[int, list[tuple]]:
-        """n -> (p, connected, validation or None) for each p of NC(2n),
-        n <= 4: one ``build_graph`` per partition, validated if connected."""
+    def block_graphs(self) -> dict[int, dict]:
+        """n -> {p: its block graph if connected, else None} over NC(2n),
+        n <= 4: one ``build_graph`` per partition in the whole run."""
         table = {}
         for n in range(1, 5):
-            rows = table[n] = []
+            graphs = table[n] = {}
             for p in enumerate_nc(2 * n):
                 g = cactus_mod.build_graph(p)
-                connected = cactus_mod.is_connected(g)
-                rows.append((p, connected, cactus_mod.validate_cactus(g) if connected else None))
+                graphs[p] = g if cactus_mod.is_connected(g) else None
         return table
+
+    @cached_property
+    def validations(self) -> dict[int, dict]:
+        """n -> {p: ``validate_cactus`` of its graph} over the connected p."""
+        return {
+            n: {p: cactus_mod.validate_cactus(g) for p, g in graphs.items() if g is not None}
+            for n, graphs in self.block_graphs.items()
+        }
 
 
 def require(condition, detail) -> None:
@@ -102,42 +110,36 @@ def parity_swap(rng: random.Random) -> str:
     return "even ground sets 2 and 4"
 
 
-def _connected_bipartite(p: Partition) -> bool:
-    g = cactus_mod.build_graph(p)
-    return cactus_mod.is_connected(g) and cactus_mod.bipartition(g) is not None
-
-
-def complement_of_family(rng: random.Random) -> str:
+def complement_of_family(run: _Run) -> str:
     # X = K(Y): the complements of the odd-separating family are the
     # partitions whose block graph is connected and bipartite.
-    for n in range(1, 5):
+    for n, graphs in run.block_graphs.items():
         from_y = {kreweras(q) for q in enumerate_y(2 * n)}
-        direct = set(filter(_connected_bipartite, enumerate_nc(2 * n)))
+        direct = {
+            p for p, g in graphs.items() if g is not None and cactus_mod.bipartition(g) is not None
+        }
         require(from_y == direct, f"2n = {2 * n}")
     return "complement image matches the graph test, n <= 4"
 
 
 def connectivity_is_join(run: _Run) -> str:
-    for n, rows in run.block_graphs.items():
+    for n, graphs in run.block_graphs.items():
         pairing = interval_pairing(n)
-        for p, connected, _ in rows:
-            require(connected == (len(join(p, pairing)) == 1), p)
+        for p, g in graphs.items():
+            require((g is not None) == (len(join(p, pairing)) == 1), p)
     return "n <= 4"
 
 
 def connected_validates(run: _Run) -> str:
-    for rows in run.block_graphs.values():
-        for p, connected, validation in rows:
-            if connected:
-                require(validation.is_cactus, p)
+    for validations in run.validations.values():
+        for p, validation in validations.items():
+            require(validation.is_cactus, p)
     return "every connected block graph is a cactus, n <= 4"
 
 
 def euler_relation(run: _Run) -> str:
-    for n, rows in run.block_graphs.items():
-        for p, connected, validation in rows:
-            if not connected:
-                continue
+    for n, validations in run.validations.items():
+        for p, validation in validations.items():
             count = validation.simple_cycle_count
             require(count == len(kreweras(p, "inverse")) - n, p)
     return "simple cycles = inverse complement blocks - n, n <= 4"
@@ -153,7 +155,7 @@ def _class_table(n: int, bipartite_only: bool) -> dict:
 
 
 def class_sizes(run: _Run) -> str:
-    for n, rows in run.block_graphs.items():
+    for n, graphs in run.block_graphs.items():
         classes = _class_table(n, bipartite_only=False)
         sizes = Counter(
             cactus_mod.canonical_outercycle(p).signature for p in enumerate_connected(n)
@@ -164,7 +166,7 @@ def class_sizes(run: _Run) -> str:
         require(bipartite.keys() == walked, f"bipartite class signatures at n = {n}")
         for signature, rep in classes.items():
             require(sizes[signature] == 2**rep.f_c, signature)
-        require(sizes.total() == sum(connected for _, connected, _ in rows), f"n = {n}")
+        require(sizes.total() == sum(g is not None for g in graphs.values()), f"n = {n}")
         trees = sum(1 for rep in classes.values() if not any(rep.edge_rigidity))
         require(trees == catalan(n), f"tree classes at n = {n}")
     return "sizes 2^fC, union complete, bipartite classes, trees Catalan, n <= 4"

@@ -7,7 +7,10 @@ the lattice-maximality definition, moments from literal sums over all
 partitions.  Slow on purpose; callers keep the sizes small.  The
 partition helpers at the end have no caller in the library; ``q_count``
 alone counts the library's odd-separating stream, which the tests hold to
-``y_membership`` here.
+``y_membership`` here.  ``moment_cumulant_walk`` is the library's
+moment-cumulant walk with every power one more product by M, each
+coefficient a literal sum: the reference for the walk that squares its
+even powers.
 """
 
 from __future__ import annotations
@@ -166,6 +169,29 @@ def nc_sum_moment(kappa, n):
             term *= kappa(len(block))
         total += term
     return total
+
+
+def moment_cumulant_walk(known, from_moments):
+    """m_n = kappa_n + sum over k < n of kappa_k [z^(n-k)] M(z)^k for
+    n = 1..N, with M^k = M^(k-1) M for every k; returns the side that was
+    not given."""
+    moments, kappas = [1], []
+    powers = [None, moments]
+    for n, value in enumerate(known, start=1):
+        lower = 0
+        for k in range(1, n):
+            j = n - k
+            if k > 1:
+                powers[k].append(sum(powers[k - 1][i] * moments[j - i] for i in range(j + 1)))
+            lower += kappas[k - 1] * powers[k][j]
+        if from_moments:
+            moments.append(value)
+            kappas.append(value - lower)
+        else:
+            kappas.append(value)
+            moments.append(value + lower)
+        powers.append([1])
+    return kappas if from_moments else moments[1:]
 
 
 def word_moment_literal(kappa_of, colors):

@@ -360,6 +360,49 @@ def test_convolve_is_the_literal_double_sum():
     assert convolve([1, 2], [3], 5) == convolve([], [1, 2, 3], 0) == 0
 
 
+def test_a_square_convolves_as_the_product_of_two_lists():
+    # One list passed twice takes the symmetric path; an equal copy does not.
+    rng = random.Random(SEED)
+    for length in range(31):
+        for _ in range(3):
+            xs = [rng.randint(-(10**6), 10**6) for _ in range(length)]
+            for n in range(2 * length + 2):
+                assert convolve(xs, xs, n) == convolve(xs, list(xs), n), (xs, n)
+
+
+def test_a_full_range_square_takes_half_the_products():
+    products = []
+
+    class Counted(int):
+        """An int that records each product it takes part in from the left."""
+
+        def __mul__(self, other):
+            products.append(other)
+            return int(self) * int(other)
+
+        def __pow__(self, other):
+            products.append(self)
+            return int(self) ** other
+
+    xs = [Counted(x) for x in range(-15, 16)]
+    for n in range(len(xs)):
+        products.clear()
+        square = convolve(xs, xs, n)
+        assert len(products) == n // 2 + 1
+        products.clear()
+        assert convolve(xs, list(xs), n) == square
+        assert len(products) == n + 1
+
+
+def test_the_walk_with_squared_even_powers_equals_the_product_walk():
+    rng = random.Random(SEED)
+    for length in range(41):
+        known = [rng.randint(-9, 9) for _ in range(length)]
+        for from_moments in (False, True):
+            want = bruteforce.moment_cumulant_walk(known, from_moments)
+            assert _moment_cumulant_walk(known, from_moments) == want, (known, from_moments)
+
+
 # --------------------------------------------------------------- products
 
 

@@ -10,6 +10,7 @@ the recursion graded by level, kept here as their reference; the closed
 forms are checked coefficientwise against triangular inversion, which
 shares no code with them."""
 
+import copy
 import functools
 import math
 import random
@@ -366,6 +367,17 @@ def test_integer_products_and_quotients_equal_the_fraction_recursions(seed):
         for c0 in (Fraction(-3, 2), Fraction(5, 7), -1, 3):
             divisor = mixed_series(rng, rng.randint(0, 12), constant=c0)
             assert exact_coeffs(a / divisor) == reference_quotient(a, divisor)
+
+
+def test_a_square_equals_the_product_with_a_copy():
+    # a * a passes one list to the convolution; a rebuilt copy holds its own.
+    rng = random.Random(SEED)
+    for _ in range(40):
+        a = mixed_series(rng, rng.randint(0, 20))
+        rebuilt = TruncatedSeries._from_ints(list(a.numerators), a.denominator)
+        assert rebuilt.numerators is not a.numerators
+        assert a * a == a * copy.copy(a) == a * rebuilt == rebuilt * a
+        assert exact_coeffs(a * a) == reference_product(a, a)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -182,6 +182,22 @@ def test_no_block_graph_table_outlives_a_run(monkeypatch):
     assert run_suite("cactus")["failed"] > 0
 
 
+@pytest.mark.parametrize("suite", ("all", "kreweras", "cactus"))
+def test_a_run_builds_each_block_graph_once(monkeypatch, suite):
+    # The complement check and the cactus suite read one table of the
+    # 2 + 14 + 132 + 1430 partitions of NC(2n), n <= 4.
+    build = cactus_mod.build_graph
+    built = []
+
+    def counting(p):
+        built.append(p)
+        return build(p)
+
+    monkeypatch.setattr(cactus_mod, "build_graph", counting)
+    assert run_suite(suite)["failed"] == 0
+    assert len(built) == len(set(built)) == 1578
+
+
 FAILING_UNDER_O = """
 import sys
 if __debug__:
