@@ -73,7 +73,7 @@ class OrientedCactus(Frozen):
     renumbered edge id; rigid edges (those on a simple cycle) appear once
     in the walk, flexible ones twice.  ``f_c`` counts the flexible edges,
     leaving out the first edge of the walk when that edge is flexible; it
-    reads the count off the walk length, with no ``edge_rigidity``.
+    reads the count off the walk's edge column, with no ``edge_rigidity``.
     ``bipartition`` is present iff the graph is bipartite; its first part
     contains vertex 0, the start of the walk.
     """
@@ -92,14 +92,17 @@ class OrientedCactus(Frozen):
     @property
     def first_edge_rigid(self) -> bool:
         """Edge 0 is rigid when the walk crosses it only at its start."""
-        return all(e for _, e in self.signature[1:])
+        _, edges = zip(*self.signature)
+        return 0 not in edges[1:]
 
     @property
     def f_c(self) -> int:
         """The walk crosses each flexible edge twice and each rigid one once,
-        so the flexible edges number the walk length less the edge count."""
-        flexible = len(self.signature) - 1 - max(e for _, e in self.signature)
-        return flexible - (not self.first_edge_rigid)
+        so the flexible edges number the walk length less the edge count,
+        both read off the edge column, unzipped once; edge 0 is left out
+        when the walk crosses it again after its start."""
+        _, edges = zip(*self.signature)
+        return len(edges) - 1 - max(edges) - (0 in edges[1:])
 
     @property
     def vertex_count(self) -> int:

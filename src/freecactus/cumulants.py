@@ -8,15 +8,17 @@ cumulants of ab + ba, of as + sa with s semicircular, and of a general
 quadratic form sum w_ij a_i a_j, as sums over the partition and cactus
 structures of the companion modules.  Every cactus route, whether it sums
 over partitions or over oriented cactus classes, evaluates one colored sum
-on an ``OrientedCactus``, an outercycle signature: its degrees and its
-walk.  The partition routes walk each partition with
+on an ``OrientedCactus``, an outercycle signature, reading its walk
+alone.  The partition routes walk each partition with
 ``cactus.canonical_outercycle``; the class routes stream one generated
 cactus per class from ``enumerate_oriented_cacti`` and weight it by its
 class size (2^f_C, or 2^(g_C + 1) for as + sa), so no route keeps a class
-table or a class's member partitions.  The colored sum takes one pass of
-the signature's walk, folding each bridge and each cycle into the vertex
-it hangs from as the walk returns there: O(V k^3) int products for V
-vertices and k variables, where a search over colorings would take k^V.
+table or a class's member partitions.  The colored sum takes one online
+pass of the signature's walk, counting degrees as it goes, applying each
+vertex's cumulants as the walk leaves it and folding each bridge and each
+cycle into the vertex it hangs from as the walk returns there: O(V k^3)
+int products for V vertices and k variables, where a search over
+colorings would take k^V.
 ``integer_tables`` alone scales, and every paper route reads its block
 cumulant products from it: the cactus routes, the NC(n) sums of ab and of
 the even pair, and ``dp`` all sum ints and divide once per order.
@@ -397,57 +399,84 @@ def even_anticommutator(
     return Fraction(2 * total, scale**m)
 
 
-def _colored_sum(cactus: OrientedCactus, kappa: list[list[int]], weights: list[list[int]]) -> int:
+def _colored_sum(
+    cactus: OrientedCactus, columns: Sequence[Sequence[int]], weights: list[list[int]]
+) -> int:
     """Sum over all vertex colorings of one cactus: the edge weight product
     times the per-vertex cumulants of the colored variables at the vertex
     degrees, on ``integer_tables``: an int, scale^n times the sum for n
-    edges.  The weights must be symmetric, as they are at every caller,
-    since the walk may cross an edge in either direction.
+    edges.  ``columns[d][c]`` is the scaled kappa_d of color c, the kappa
+    rows transposed.  The weights must be symmetric, as they are at every
+    caller, since the walk may cross an edge in either direction.
 
-    One pass of the walk, with a stack of its open vertices, root first.
-    Vertex v starts as f_v, the vector of its degree's cumulants over the
-    colors (a zero vector zeroes every coloring, so the sum is 0 at once).
-    A second crossing of an edge goes back along a bridge: the parent's
-    vector takes the child u in as an entrywise factor W f_u.  A first
-    crossing either opens the next new vertex or closes a cycle at an open
-    vertex w: the open vertices above w are the cycle's others, w_1 .. w_m
-    in walk order, and f_w takes the diagonal of W D_1 W ... D_m W as an
-    entrywise factor, D_i the diagonal of f_{w_i}.  A loop is the cycle
-    with m = 0 and a parallel pair the one with m = 1.  The root's vector
-    then sums to the colored sum, in O(V k^3) int products for V vertices
-    and k colors.
+    One online pass of the walk, with a stack of its open vertices, root
+    first, and no degree table read ahead.  An open vertex v keeps its
+    degree so far, counted at first crossings as ``degrees`` counts them,
+    and g_v, the entrywise product of what its children folded in (all
+    ones at first).  When the walk leaves u for good, u's cumulants go in:
+    f_u = kappa_(deg u) g_u, entrywise, and the sum is 0 at the first zero
+    f_u, which zeroes every coloring.  A second crossing of an edge goes
+    back along a bridge, leaving the child u: its parent's g takes W f_u
+    in.  A first crossing either opens the next new vertex or closes a
+    cycle at an open vertex w, leaving the open vertices above w, the
+    cycle's others w_1 .. w_m in walk order: g_w takes in the diagonal of
+    W D_1 W ... D_m W, D_i the diagonal of f_(w_i).  Only the diagonal of
+    the last product is formed, k^2 products where the full matrix takes
+    k^3.  A parallel pair is the cycle with m = 1, and a loop, m = 0, takes
+    the diagonal of W.  The root takes its cumulants at the end, and its f
+    sums to the colored sum: O(V k^3) int products for V vertices and k
+    colors.
     """
-    f = [[row[s] for row in kappa] for s in cactus.degrees]
-    if not all(map(any, f)):
-        return 0
     sig = cactus.signature
+    ones = [1] * len(weights)
+    deg = [0]
+    g = [ones]
     stack = [0]
     crossed = 0
-    for (_, e), (w, _) in zip(sig, sig[1:] + sig[:1]):
-        if e < crossed:  # back along a bridge
+    for (v, e), (w, _) in zip(sig, sig[1:] + sig[:1]):
+        if e < crossed:  # back along a bridge, leaving u
             u = stack.pop()
-            v = stack[-1]
-            f[v] = [x * sum(map(mul, row, f[u])) for x, row in zip(f[v], weights)]
-        elif w > stack[-1]:  # out to the next new vertex
-            crossed += 1
+            f = list(map(mul, columns[deg[u]], g[u]))
+            if not any(f):
+                return 0
+            g[w] = [x * sum(map(mul, row, f)) for x, row in zip(g[w], weights)]
+            continue
+        crossed += 1
+        deg[v] += 1
+        if w == len(deg):  # out to the next new vertex
+            deg.append(1)
+            g.append(ones)
             stack.append(w)
-        else:  # round a cycle, back to the open vertex w
-            crossed += 1
-            at = stack.index(w)
+            continue
+        # round a cycle, back to the open vertex w, leaving the others
+        deg[w] += 1
+        at = stack.index(w)
+        fs = []
+        for u in stack[at + 1 :]:
+            f = list(map(mul, columns[deg[u]], g[u]))
+            if not any(f):
+                return 0
+            fs.append(f)
+        del stack[at + 1 :]
+        if fs:
+            last = fs.pop()
             path = weights
-            for u in stack[at + 1 :]:
-                scaled = [list(map(mul, row, f[u])) for row in path]
+            for f in fs:
+                scaled = [list(map(mul, row, f)) for row in path]
                 path = [[sum(map(mul, row, col)) for col in weights] for row in scaled]
-            del stack[at + 1 :]
-            f[w] = [x * path[c][c] for c, x in enumerate(f[w])]
-    return sum(f[0])
+            diagonal = [sum(map(mul, map(mul, row, last), col)) for row, col in zip(path, weights)]
+        else:
+            diagonal = [row[c] for c, row in enumerate(weights)]
+        g[w] = list(map(mul, g[w], diagonal))
+    return sum(map(mul, columns[deg[0]], g[0]))
 
 
 def _cactus_sum(sized, specs: Sequence[CumulantSpec], weights: WeightMatrix, n: int) -> Fraction:
     """Size times the colored sum over the (size, cactus) pairs of ``sized``,
     cacti with n edges, divided once.  Streams start, and check caps, first."""
     kappa, w, scale = integer_tables(specs, weights, 2 * n)
-    return Fraction(sum(size * _colored_sum(c, kappa, w) for size, c in sized), scale**n)
+    columns = list(zip(*kappa))
+    return Fraction(sum(size * _colored_sum(c, columns, w) for size, c in sized), scale**n)
 
 
 def quadratic_form_cumulant(

@@ -60,6 +60,7 @@ from freecactus.cumulants import (
     oracle_quadratic_moments,
     random_explicit_spec,
 )
+from freecactus.dp import dp_cumulants
 from freecactus.verify import run_suite
 
 SEED = 1729
@@ -668,7 +669,7 @@ def test_colored_sum_matches_the_brute_force_sum(k):
                 want = bruteforce.colored_sum(
                     g.vertex_count, g.edges, g.vertex_degrees, specs, weights.entries
                 )
-                assert Fraction(_colored_sum(rep, kappa, w), scale**n) == want
+                assert Fraction(_colored_sum(rep, list(zip(*kappa)), w), scale**n) == want
 
 
 def _has_long_unmirrored_cycle(g):
@@ -714,11 +715,61 @@ def test_colored_sum_matches_the_brute_force_sum_past_six_edges(n):
         if g.vertex_count > 7 or not _has_long_unmirrored_cycle(g):
             continue
         want = bruteforce.colored_sum(g.vertex_count, g.edges, g.vertex_degrees, specs, rows)
-        assert Fraction(_colored_sum(rep, kappa, w), scale**n) == want, rep.signature
+        assert Fraction(_colored_sum(rep, list(zip(*kappa)), w), scale**n) == want, rep.signature
         checked += 1
         if checked == 12:
             break
     assert checked == 12
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_a_cumulant_vanishing_at_one_degree(k):
+    """The first spec vanishes at one degree d alone, for each d <= 12, so
+    on a class with a vertex of degree d every coloring that gives that
+    vertex the first variable is zero.  At k = 1 the walk returns 0 at the
+    first such vertex, a leaf, a cycle vertex or the root by class.  The
+    colored sum against one product per coloring on every class with at
+    most six edges at k = 1 and five at k = 2 (2^7 colorings a class, times
+    each degree, would take seconds more at six), each class once per spec
+    it tells apart; and the graph and dp routes agree at every d <= 2n for
+    n <= 6, the partition route too for n <= 4."""
+    rng = random.Random(SEED + 40 + k)
+    nonzero = [-3, -2, -1, 1, 2, 3]
+
+    def draw():
+        return [Fraction(rng.choice(nonzero), rng.choice((1, 2, 3))) for _ in range(12)]
+
+    first = draw()
+    others = tuple(CumulantSpec.explicit(draw()) for _ in range(k - 1))
+    rows = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = Fraction(rng.choice(nonzero), rng.choice((1, 2)))
+    weights = WeightMatrix(tuple(tuple(r) for r in rows))
+    classes = {n: list(enumerate_oriented_cacti(n)) for n in range(1, 7)}
+    brute_top = 6 if k == 1 else 5
+    checked = set()
+    for d in range(1, 13):
+        specs = (CumulantSpec.explicit(first[: d - 1] + [0] + first[d:]),) + others
+        dp = dp_cumulants(specs, weights, 6)
+        for n in range((d + 1) // 2, 7):
+            graph = quadratic_form_cumulant(specs, weights, n, route="graph")
+            assert graph == dp[n - 1], (d, n)
+            if n <= 4:
+                assert quadratic_form_cumulant(specs, weights, n, route="partition") == graph
+            if n > brute_top:
+                continue
+            kappa, w, scale = integer_tables(specs, weights, 2 * n)
+            columns = list(zip(*kappa))
+            for rep in classes[n]:
+                degrees = rep.degrees
+                key = (rep.signature, d if d in degrees else None)
+                if key in checked:
+                    continue
+                checked.add(key)
+                edges = rep.renumbered_edges()
+                want = bruteforce.colored_sum(len(degrees), edges, degrees, specs, rows)
+                assert Fraction(_colored_sum(rep, columns, w), scale**n) == want, (d, rep.signature)
 
 
 def test_quadratic_argument_validation():
