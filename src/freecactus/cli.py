@@ -11,12 +11,12 @@ cap refused the request, 141 stdout was closed early."""
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import re
 import sys
+import types
 
 from freecactus import cactus as cactus_mod
 from freecactus.cumulants import (
@@ -61,8 +61,15 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0  # not a number: refused as not positive below
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+        raise ValueError(f"expected a positive integer, got {text}")
     return value
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text}") from None
 
 
 def parse_range(text: str) -> list[int]:
@@ -329,7 +336,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    summary = run_suite(args.suite, args.seed)
+    summary = run_suite(args.suite) if args.seed is None else run_suite(args.suite, args.seed)
     if args.format == "json":
         print(json.dumps(summary))
     else:
@@ -345,11 +352,12 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-# Every request of count, enumerate, cumulants and series, each once: the
-# options it reads, True where required and False where optional.  Setting
-# any other option of its command is a usage error, not ignored.  A cumulant
+# Every request, each once: the options it reads, True where required and
+# False where optional.  Every command also reads --format, and setting any
+# other option of its command is a usage error, not ignored.  A cumulant
 # target's "route" lists the routes it takes: dp, the default, first; the
-# paper's partition and graph routes stay for reproduction, "both" compares them.
+# paper's partition and graph routes stay for reproduction, "both" compares
+# them.  verify takes no kind.
 READS = {
     ("count", "y"): {"m": True},
     ("count", "levels"): {"m": True, "cap": False},
@@ -359,16 +367,54 @@ READS = {
     ("enumerate", "y"): {"m": True, "cap": False},
     ("enumerate", "cacti"): {"n": True, "bipartite": False, "cap": False},
     ("cumulants", "anticommutator"):
-        {"a": True, "b": True, "cap": False, "route": ("dp", "partition", "graph", "both")},
-    ("cumulants", "product"): {"a": True, "b": True, "cap": False, "route": ("dp", "partition")},
-    ("cumulants", "semicircular-anticom"): {"a": True, "cap": False, "route": ("dp", "graph")},
-    ("cumulants", "quadratic"):
-        {"specs": True, "weights": True, "cap": False, "route": ("dp", "partition", "graph", "both")},
+        {"a": True, "b": True, "n": True, "cap": False, "route": ("dp", "partition", "graph", "both")},
+    ("cumulants", "product"):
+        {"a": True, "b": True, "n": True, "cap": False, "route": ("dp", "partition")},
+    ("cumulants", "semicircular-anticom"):
+        {"a": True, "n": True, "cap": False, "route": ("dp", "graph")},
+    ("cumulants", "quadratic"): {"specs": True, "weights": True, "n": True, "cap": False,
+                                 "route": ("dp", "partition", "graph", "both")},
     ("series", "counts"): {"order": False},
     ("series", "check"): {"order": False},
     ("series", "minverse"): {"order": False},
     ("series", "cauchy"): {"moments": False},
+    ("verify", None): {"suite": False, "seed": False},
 }
+
+# Each command: the name of its kind (None where it takes none), and its help.
+COMMANDS = {
+    "count": ("kind", "counting tables without enumeration output"),
+    "enumerate": ("kind", "emit the objects themselves"),
+    "cumulants": ("target", "exact cumulants of combined variables"),
+    "series": ("kind", "counting series and their identities"),
+    "verify": (None, "run the self-verification suites"),
+}
+
+# How each option's text is read, and its help.  A function returns the
+# value or raises ValueError with the message to print; a tuple lists the
+# values of a choice, its default first; bool marks a flag and list one or
+# more values.  cumulants reads --n as ORDERS, which parse_range checks.
+OPTIONS = {
+    "format": (("json", "table"), "output format (default json)"),
+    "cap": (_positive_int, f"ground-set cap override: enumerations default to "
+                           f"{DEFAULT_ENUMERATION_CAP}, the dp route to {DEFAULT_DP_CAP}"),
+    "m": (_positive_int, "ground set size"),
+    "n": (_positive_int, "edge count for cacti"),
+    "bipartite": (bool, "restrict cacti to bipartite classes"),
+    "a": (str, "first distribution spec"),
+    "b": (str, "second distribution spec"),
+    "specs": (list, "distribution specs for the quadratic form"),
+    "weights": (str, "JSON weight matrix file"),
+    "route": (("dp", "partition", "graph", "both"), "summation route (default dp)"),
+    "order": (_positive_int, f"truncation order (default {DEFAULT_SERIES_ORDER})"),
+    "moments": (_positive_int, f"moments in the Cauchy residual (default {DEFAULT_CAUCHY_MOMENTS})"),
+    "suite": (("all", *SUITES), "suite to run (default all)"),
+    "seed": (_integer, "seed for randomized verification"),
+}
+ORDERS = (str, "order or inclusive range a..b")
+
+# A negative number is a value, not an option.
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
 def _kinds(command: str) -> tuple[str, ...]:
@@ -376,110 +422,162 @@ def _kinds(command: str) -> tuple[str, ...]:
     return tuple(kind for cmd, kind in READS if cmd == command)
 
 
-@functools.cache  # parsing leaves the parser unchanged: one per process
-def build_parser() -> argparse.ArgumentParser:
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument(
-        "--format",
-        choices=("json", "table"),
-        default="json",
-        help="output format (default json)",
-    )
-    common = argparse.ArgumentParser(add_help=False, parents=[output])
-    common.add_argument(
-        "--cap",
-        type=_positive_int,
-        help=(
-            f"ground-set cap override: enumerations default to {DEFAULT_ENUMERATION_CAP}, "
-            f"the dp route to {DEFAULT_DP_CAP}"
-        ),
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="freecactus",
-        description=(
-            "Exact free-cumulant calculus for anti-commutators and quadratic "
-            "forms in free random variables."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    count = sub.add_parser(
-        "count", parents=[common], help="counting tables without enumeration output"
-    )
-    count.add_argument("kind", choices=_kinds("count"))
-    count.set_defaults(func=cmd_count)
-
-    enum = sub.add_parser(
-        "enumerate", parents=[common], help="emit the objects themselves"
-    )
-    enum.add_argument("kind", choices=_kinds("enumerate"))
-    enum.set_defaults(func=cmd_enumerate)
-    for sized in (count, enum):
-        sized.add_argument("--m", type=_positive_int, help="ground set size")
-        sized.add_argument("--n", type=_positive_int, help="edge count for cacti")
-        sized.add_argument(
-            "--bipartite", action="store_true", help="restrict cacti to bipartite classes"
-        )
-
-    cum = sub.add_parser(
-        "cumulants", parents=[common], help="exact cumulants of combined variables"
-    )
-    routes = {target: READS["cumulants", target]["route"] for target in _kinds("cumulants")}
-    cum.add_argument("target", choices=tuple(routes))
-    cum.add_argument("--a", help="first distribution spec")
-    cum.add_argument("--b", help="second distribution spec")
-    cum.add_argument(
-        "--specs", nargs="+", help="distribution specs for the quadratic form"
-    )
-    cum.add_argument("--weights", help="JSON weight matrix file")
-    cum.add_argument("--n", required=True, help="order or inclusive range a..b")
-    cum.add_argument(
-        "--route",
-        choices=tuple(dict.fromkeys(r for taken in routes.values() for r in taken)),
-        default="dp",
-        help="summation route, default dp; by target: "
-        + "; ".join(f"{t}: {', '.join(r)}" for t, r in routes.items()),
-    )
-    cum.set_defaults(func=cmd_cumulants)
-
-    ser = sub.add_parser(
-        "series", parents=[output], help="counting series and their identities"
-    )
-    ser.add_argument("kind", choices=_kinds("series"))
-    ser.add_argument(
-        "--order", type=_positive_int, help=f"truncation order (default {DEFAULT_SERIES_ORDER})"
-    )
-    ser.add_argument(
-        "--moments",
-        type=_positive_int,
-        help=f"number of moments feeding the Cauchy residual (default {DEFAULT_CAUCHY_MOMENTS})",
-    )
-    ser.set_defaults(func=cmd_series)
-
-    ver = sub.add_parser(
-        "verify", parents=[output], help="run the self-verification suites"
-    )
-    ver.add_argument("--suite", choices=("all", *SUITES), default="all")
-    ver.add_argument(
-        "--seed", type=int, default=1729, help="seed for randomized verification"
-    )
-    ver.set_defaults(func=cmd_verify)
-    return parser
+@functools.cache  # parsing leaves the table unchanged: one per process
+def build_parser() -> dict:
+    """Each command's options, in OPTIONS order, each as (read, help)."""
+    names = {command: {"format"} for command in COMMANDS}
+    for (command, _kind), row in READS.items():
+        names[command].update(row)
+    return {
+        command: {
+            o: ORDERS if (command, o) == ("cumulants", "n") else OPTIONS[o]
+            for o in OPTIONS
+            if o in names[command]
+        }
+        for command in COMMANDS
+    }
 
 
-def _validate(parser, args) -> None:
-    kind = args.target if args.command == "cumulants" else getattr(args, "kind", None)
-    reads = READS.get((args.command, kind), {})
+def _spelling(option: str, read) -> str:
+    if read is bool:
+        return f"--{option}"
+    if isinstance(read, tuple):
+        return f"--{option} {{{','.join(read)}}}"
+    metavar = option.upper()
+    return f"--{option} {metavar} [{metavar} ...]" if read is list else f"--{option} {metavar}"
+
+
+def _usage(command) -> str:
+    if command is None:
+        return "usage: freecactus [-h] {" + ",".join(COMMANDS) + "} ..."
+    kinds = "{" + ",".join(_kinds(command)) + "} " if COMMANDS[command][0] else ""
+    return f"usage: freecactus {command} [-h] {kinds}[options]"
+
+
+def _help(command) -> str:
+    if command is None:
+        return "\n".join([
+            _usage(None), "", "Exact free-cumulant calculus for anti-commutators and quadratic",
+            "forms in free random variables.", "", "commands:",
+            *(f"  {name:<11}{text}" for name, (_, text) in COMMANDS.items()),
+            "", "freecactus <command> --help lists the options each kind reads.",
+        ])
+    positional, text = COMMANDS[command]
+    options = build_parser()[command]
+    lines = [_usage(command), "", text, ""]
+    if positional:
+        lines.append(f"{positional}s and the options each reads ([optional]):")
+        for kind in _kinds(command):
+            spelled = (
+                (_spelling(o, need if isinstance(need, tuple) else options[o][0]), need is True)
+                for o, need in READS[command, kind].items()
+            )
+            lines.append(f"  {kind:<22}" + " ".join(s if needed else f"[{s}]" for s, needed in spelled))
+        lines.append("")
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(_spelling(o, read), help_text) for o, (read, help_text) in options.items()]
+    width = max(len(spelled) for spelled, _ in rows) + 2
+    return "\n".join([*lines, "options:", *(f"  {s:<{width}}{h}" for s, h in rows)])
+
+
+def _fail(command, message: str):
+    """A usage error: the usage line and the message on stderr, exit 2."""
+    prog = f"freecactus {command}" if command else "freecactus"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _choice(command, what: str, word: str, choices) -> str:
+    if word not in choices:
+        listed = ", ".join(map(repr, choices))
+        _fail(command, f"argument {what}: invalid choice: {word!r} (choose from {listed})")
+    return word
+
+
+def _is_option(word: str) -> bool:
+    return word[:1] == "-" and word != "-" and not _NEGATIVE.match(word) and " " not in word
+
+
+def _option(command, word: str, names) -> str:
+    """The option ``word`` names: -h is help, and --w is w itself or the
+    one name that begins with w."""
+    if word == "-h":
+        return "help"
+    head = word[2:] if word[:2] == "--" else ""
+    matches = [head] if head in names else [n for n in names if head and n.startswith(head)]
+    if len(matches) > 1:
+        _fail(command, f"ambiguous option: {word} could match " + ", ".join(f"--{m}" for m in matches))
+    if not matches:
+        _fail(command, f"unrecognized arguments: {word}")
+    return matches[0]
+
+
+def _parse(argv):
+    """The request ``argv`` names, every option of its command set to its
+    value or default.  One pass reads the words and checks the request
+    against READS; a usage error exits 2, and -h or --help prints the help
+    and exits 0."""
+    table = build_parser()
+    command = kind = None
+    given, i = {}, 0
+    while i < len(argv):
+        word, i = argv[i], i + 1
+        if not _is_option(word):
+            if command is None:
+                command = _choice(None, "command", word, COMMANDS)
+            elif kind is None and COMMANDS[command][0]:
+                kind = _choice(command, COMMANDS[command][0], word, _kinds(command))
+            else:
+                _fail(command, f"unrecognized arguments: {word}")
+        else:
+            options = table[command] if command else {}
+            head, eq, text = word.partition("=")
+            name = _option(command, head, ("help", *options))
+            if name == "help":
+                print(_help(command))
+                raise SystemExit(0)
+            read = options[name][0]
+            if read is bool:
+                if eq:
+                    _fail(command, f"argument --{name}: ignored explicit argument {text!r}")
+                given[name] = True
+                continue
+            stop = i
+            while not eq and stop < len(argv) and not _is_option(argv[stop]) and (read is list or stop == i):
+                stop += 1
+            values, i = ([text] if eq else argv[i:stop]), stop
+            if not values:
+                _fail(command, f"argument --{name}: expected {'at least ' * (read is list)}one argument")
+            if read is list:
+                given[name] = values
+            elif isinstance(read, tuple):
+                given[name] = _choice(command, f"--{name}", values[0], read)
+            else:
+                try:
+                    given[name] = read(values[0])
+                except ValueError as exc:
+                    _fail(command, f"argument --{name}: {exc}")
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    positional = COMMANDS[command][0]
+    if positional and kind is None:
+        _fail(command, f"the following arguments are required: {positional}")
+    reads = READS[command, kind]
     required = [option for option, needed in reads.items() if needed is True]
-    if not all(getattr(args, option) for option in required):
-        parser.error(f"{args.command} {kind} requires " + " and ".join(f"--{o}" for o in required))
-    options = dict.fromkeys(o for (cmd, _), row in READS.items() if cmd == args.command for o in row)
-    unread = [o for o in options if o not in reads and getattr(args, o) not in (None, False)]
+    if not all(given.get(option) for option in required):
+        _fail(command, f"{command} {kind} requires " + " and ".join(f"--{o}" for o in required))
+    unread = [o for o in table[command] if o in given and o not in reads and o != "format"]
     if unread:
-        parser.error(f"{args.command} {kind} does not take " + ", ".join(f"--{o}" for o in unread))
-    if "route" in reads and args.route not in reads["route"]:
-        parser.error(f"{args.command} {kind} takes --route " + ", ".join(reads["route"]))
+        _fail(command, f"{command} {kind} does not take " + ", ".join(f"--{o}" for o in unread))
+    args = {o: read[0] if isinstance(read, tuple) else (False if read is bool else None)
+            for o, (read, _help) in table[command].items()}
+    args.update(given)
+    for option, taken in reads.items():
+        if isinstance(taken, tuple) and args[option] not in taken:
+            _fail(command, f"{command} {kind} takes --{option} " + ", ".join(taken))
+    if positional:
+        args[positional] = kind
+    return types.SimpleNamespace(command=command, **args)
 
 
 def main(argv=None) -> int:
@@ -488,10 +586,9 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        _validate(parser, args)
-        return args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        # Looked up per call, so a wrapper set on the module is the one run.
+        return globals()[f"cmd_{args.command}"](args)
     except BrokenPipeError:
         # The reader left early (``| head``): silence the final flush, exit 128 + SIGPIPE.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -7,6 +7,7 @@ subprocess test at the bottom proves the installed entry point works."""
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -690,6 +691,126 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+# What each help page must name: every command at the top; for each
+# command, its kinds or targets (verify: its suites), its options and, for
+# cumulants, every route.
+HELP_NAMES = {
+    None: ("count", "enumerate", "cumulants", "series", "verify"),
+    "count": ("y", "levels", "nc", "cacti", "--format", "--cap", "--m", "--n", "--bipartite"),
+    "enumerate": ("partitions", "y", "cacti", "--format", "--cap", "--m", "--n", "--bipartite"),
+    "cumulants": (
+        "anticommutator", "product", "semicircular-anticom", "quadratic",
+        "--format", "--cap", "--a", "--b", "--specs", "--weights", "--n", "--route",
+        "dp", "partition", "graph", "both",
+    ),
+    "series": ("counts", "check", "minverse", "cauchy", "--format", "--order", "--moments"),
+    "verify": ("all", "kreweras", "cactus", "formulas", "series", "--format", "--suite", "--seed"),
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_NAMES), ids=lambda c: c or "top")
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_exits_zero_and_names_everything(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag] if command else [flag])
+    assert exc.value.code in (0, None)
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("usage: freecactus")
+    missing = [
+        name for name in HELP_NAMES[command]
+        if not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", out)
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (("count", "levels", "--m", "4", "--format=table"), ("count", "levels", "--m", "4", "--format", "table")),
+        (("count", "levels", "--m=4"), ("count", "levels", "--m", "4")),
+        (("count", "levels", "--m", "4", "--form", "table"), ("count", "levels", "--m", "4", "--format", "table")),
+        (("count", "cacti", "--n", "2", "--bip"), ("count", "cacti", "--n", "2", "--bipartite")),
+        (("count", "--m", "8", "y"), ("count", "y", "--m", "8")),
+        (("count", "y", "--m", "3", "--m", "8"), ("count", "y", "--m", "8")),
+    ],
+    ids=["opt=value", "size=value", "prefix", "flag prefix", "kind last", "last wins"],
+)
+def test_option_spellings_read_as_the_full_form(capsys, argv, same_as):
+    assert run_cli(capsys, *argv) == run_cli(capsys, *same_as)
+
+
+def test_option_spellings_change_the_answer(capsys):
+    # The pairs above would agree vacuously if each option were ignored.
+    assert run_cli(capsys, "count", "levels", "--m", "4")[1] == "[4, 1]\n"
+    assert run_cli(capsys, "count", "levels", "--m", "4", "--form", "table")[1] == "4 1\n"
+    assert run_cli(capsys, "count", "cacti", "--n", "2")[1] == "7\n"
+    assert run_cli(capsys, "count", "cacti", "--n", "2", "--bip")[1] == "3\n"
+    assert run_cli(capsys, "count", "--m", "8", "y")[1] == "155\n"
+
+
+def test_specs_take_every_value_up_to_the_next_option(capsys, tmp_path):
+    # Free standard semicirculars under a symmetric W: kappa_n = tr(W^n).
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps([["1", "0", "-2"], ["0", "-1/2", "1/3"], ["-2", "1/3", "3/2"]]))
+    w = [[Fraction(x) for x in row] for row in json.loads(weights.read_text())]
+    specs = ("semicircular", "semicircular", "semicircular")
+    code, out, err = run_cli(
+        capsys, "cumulants", "quadratic", "--specs", *specs, "--weights", str(weights), "--n", "1..3"
+    )
+    assert (code, err) == (0, "")
+    power, traces = w, []
+    for _ in range(3):
+        traces.append(format_rational(sum(power[i][i] for i in range(3))))
+        power = [[sum(x * y for x, y in zip(r, c)) for c in zip(*w)] for r in power]
+    assert [r["kappa"] for r in json_lines(out)] == traces
+    assert run_cli(
+        capsys, "cumulants", "quadratic", "--weights", str(weights), "--n", "1..3", "--specs", *specs
+    ) == (code, out, err)
+
+
+def test_a_negative_seed_is_a_value(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "kreweras", "--seed", "-5")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["seed"] == -5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("bogus",),
+        ("--bogus",),
+        ("count",),
+        ("count", "bogus", "--m", "3"),
+        ("cumulants", "bogus", "--a", "poisson:1", "--n", "2"),
+        ("series", "bogus"),
+        ("verify", "--s", "3"),
+        ("verify", "--suite", "nope"),
+        ("verify", "--seed", "x"),
+        ("verify", "extra"),
+        ("count", "y", "--m"),
+        ("count", "y", "--m", "0"),
+        ("count", "y", "--m", "3", "extra"),
+        ("count", "y", "--m", "3", "--format", "xml"),
+        ("count", "cacti", "--n", "2", "--bipartite=yes"),
+        ("cumulants", "anticommutator", "--a", "poisson:1", "--b", "poisson:1"),
+        ("cumulants", "anticommutator", "--a", "poisson:1", "--b", "poisson:1", "--n", "2", "--route", "foo"),
+        ("cumulants", "quadratic", "--specs", "--weights", "w.json", "--n", "2"),
+    ],
+    ids=lambda argv: " ".join(argv) or "nothing",
+)
+def test_a_usage_error_prints_usage_and_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: freecactus")
+    last = err.rstrip("\n").splitlines()[-1]
+    assert re.match(r"freecactus( [a-z]+)?: error: \S", last)
+
+
 # Each kind or target with its required options, and the options of its
 # command that it never reads.
 UNREAD = [
@@ -797,6 +918,27 @@ def test_a_non_integer_size_is_refused_by_name(capsys):
     assert out == ""
     assert "argument --m: expected a positive integer, got abc" in err
     assert "_positive_int" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "y", "--m"),
+        ("count", "levels", "--m", "4", "--cap"),
+        ("series", "counts", "--order"),
+        ("series", "cauchy", "--moments"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+@pytest.mark.parametrize("text", ["0", "-3"])
+def test_a_size_below_one_is_refused_by_name(capsys, argv, text):
+    # Refused as the option is read: a 0 must not fall through to a default.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, text])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {argv[-1]}: expected a positive integer, got {text}" in err
 
 
 def test_cap_exits_three(capsys):
@@ -994,6 +1136,27 @@ def test_set_up_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+SERVE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import freecactus.cli
+freecactus.cli.build_parser()
+code = freecactus.cli.main(["count", "y", "--m", "8"])
+print(code, sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+"""
+
+
+def test_a_request_loads_neither_argparse_nor_gettext_nor_locale():
+    # argparse builds its messages through gettext, whose first lookup
+    # imports locale: about 3 ms before a cold request could start.
+    src = str(Path(freecactus.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", SERVE, src], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "155\n0 []\n"
 
 
 def test_installed_entry_point_runs():

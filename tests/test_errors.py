@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from freecactus.cli import build_parser
+from freecactus.cli import _parse, cmd_count
 from freecactus.cumulants import (
     ANTICOMMUTATOR_WEIGHTS,
     CumulantSpec,
@@ -44,8 +44,7 @@ def test_a_size_equal_to_the_cap_passes(cap):
 
 
 def _count_levels(m, cap):
-    args = build_parser().parse_args(["count", "levels", "--m", str(m), "--cap", str(cap)])
-    return args.func(args)
+    return cmd_count(_parse(["count", "levels", "--m", str(m), "--cap", str(cap)]))
 
 
 ONE = CumulantSpec.free_poisson(1)
